@@ -1,6 +1,5 @@
 //! Single-cell engine throughput, per protocol: one Smoke-scale
-//! simulation cell through the monomorphized entry point
-//! ([`Simulation::run_kind`]) versus the boxed `dyn Arbiter` entry.
+//! simulation cell through [`Simulation::run_kind`].
 //!
 //! This is the criterion sibling of the `bench_run` binary (which writes
 //! `BENCH_run.json`); use this one for statistically-driven A/B runs and
@@ -36,8 +35,8 @@ fn cell(kind: ProtocolKind) -> Simulation {
     Simulation::new(config).expect("valid config")
 }
 
-fn bench_single_cell_mono(c: &mut Criterion) {
-    let mut group = c.benchmark_group("single_cell_mono");
+fn bench_single_cell(c: &mut Criterion) {
+    let mut group = c.benchmark_group("single_cell");
     for &kind in &PROTOCOLS {
         let sim = cell(kind);
         let events = sim.run_kind(kind).expect("valid size").events;
@@ -53,22 +52,5 @@ fn bench_single_cell_mono(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_single_cell_dyn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("single_cell_dyn");
-    for &kind in &PROTOCOLS {
-        let sim = cell(kind);
-        let events = sim.run_kind(kind).expect("valid size").events;
-        group.throughput(Throughput::Elements(events));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.to_string()),
-            &kind,
-            |b, &kind| {
-                b.iter(|| black_box(sim.run(kind.build(AGENTS).expect("valid size"))));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(single_cell, bench_single_cell_mono, bench_single_cell_dyn);
+criterion_group!(single_cell, bench_single_cell);
 criterion_main!(single_cell);

@@ -13,8 +13,8 @@
 //!   the full `busarb analyze` pipeline (replay + usage + fairness +
 //!   protocol adapter);
 //! * **multi** — `--streams` (default 4) threads each analyzing its own
-//!   stream of `events / streams` events concurrently, the serve-mode
-//!   ingest shape.
+//!   stream of `events / streams` events concurrently (several
+//!   `busarb analyze` passes at once).
 //!
 //! The report records events/sec overall and per stream, the process's
 //! peak resident set (`VmHWM` from `/proc/self/status`, where readable)
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
         single.events_per_sec / 1e6
     );
 
-    // --- Multi stream: serve-mode ingest shape. ---
+    // --- Multi stream: concurrent analyze passes. ---
     let per_stream_tx = (args.events / args.streams as u64 / 4).max(1);
     let per_stream_events = 4 * per_stream_tx;
     let total_events = per_stream_events * args.streams as u64;

@@ -1,6 +1,5 @@
-//! `bench_run` — times one simulation cell per protocol through both
-//! dispatch paths and both draw engines, and writes the results to
-//! `BENCH_run.json`.
+//! `bench_run` — times one simulation cell per protocol under both draw
+//! engines, and writes the results to `BENCH_run.json`.
 //!
 //! ```text
 //! bench_run [--out PATH] [--reps N] [--smoke] [--floor PATH]
@@ -8,14 +7,12 @@
 //! ```
 //!
 //! Each protocol runs the same Quick-scale cell (30 agents, load 2.0,
-//! deterministic per-protocol seed) through the monomorphized entry
-//! ([`Simulation::run_kind`]) and the boxed `dyn Arbiter` entry, once
-//! per selected draw engine. The JSON records, per (protocol, engine),
-//! the event count, minimum wall-clock of `reps` runs per path, the
-//! derived events/sec and ns/arbitration figures, and the
-//! static-over-dynamic dispatch speedup. Both dispatch paths produce
-//! bit-for-bit identical reports within one engine (pinned by the
-//! `dispatch_equivalence` regression test), so only the timings differ.
+//! deterministic per-protocol seed) through [`Simulation::run_kind`],
+//! once per selected draw engine. The JSON records, per (protocol,
+//! engine), the event count, minimum wall-clock of `reps` runs, and the
+//! derived events/sec and ns/arbitration figures. The `mono_` prefix of
+//! those fields names the monomorphized event loop every run goes
+//! through; the `--floor` gate reads `mono_events_per_sec`.
 //!
 //! When both engines are selected (the default), the report also carries
 //! a `draw_bound` section: the same cell at CV = 0.1 (Erlang k = 100
@@ -79,25 +76,6 @@ const CALIBRATION_ITERS: u64 = 20_000_000;
 /// Timing windows per calibration; the minimum elapsed is used.
 const CALIBRATION_REPS: usize = 15;
 
-/// The protocols timed — every [`ProtocolKind`], so the report covers the
-/// full dispatch surface (`cargo xtask lint` checks this roster stays
-/// complete).
-const PROTOCOLS: [ProtocolKind; 13] = [
-    ProtocolKind::FixedPriority,
-    ProtocolKind::AssuredAccessIdleBatch,
-    ProtocolKind::AssuredAccessFairnessRelease,
-    ProtocolKind::AssuredAccessClosedBatch,
-    ProtocolKind::RoundRobin,
-    ProtocolKind::Fcfs1,
-    ProtocolKind::Fcfs2,
-    ProtocolKind::CentralRoundRobin,
-    ProtocolKind::CentralFcfs,
-    ProtocolKind::Hybrid,
-    ProtocolKind::Adaptive,
-    ProtocolKind::RotatingRr,
-    ProtocolKind::TicketFcfs,
-];
-
 /// The CV used for the draw-bound comparison cells: 0.1 maps to Erlang
 /// shape k = 100, so every interrequest draw costs the reference engine
 /// one hundred uniforms and a `ln`.
@@ -111,20 +89,16 @@ struct ProtocolTiming {
     events: u64,
     arbitrations: u64,
     mono_min_seconds: f64,
-    dyn_min_seconds: f64,
     mono_events_per_sec: f64,
-    dyn_events_per_sec: f64,
     mono_ns_per_arbitration: f64,
-    dyn_ns_per_arbitration: f64,
-    mono_speedup_vs_dyn: f64,
-    /// Whole-run registry snapshot of the (monomorphized) timed cell, so
-    /// a benchmark artifact also documents what the run *did* — grant and
-    /// completion counts, wait/queue-depth histograms, event rates.
+    /// Whole-run registry snapshot of the timed cell, so a benchmark
+    /// artifact also documents what the run *did* — grant and completion
+    /// counts, wait/queue-depth histograms, event rates.
     metrics: MetricsSnapshot,
 }
 
 /// One protocol's reference-vs-fast comparison in the draw-bound
-/// (CV = 0.1, Erlang k = 100) regime. Monomorphized dispatch only.
+/// (CV = 0.1, Erlang k = 100) regime.
 #[derive(Serialize)]
 struct DrawBoundTiming {
     protocol: String,
@@ -380,49 +354,32 @@ fn time_protocol(
     engine: DrawEngineKind,
 ) -> ProtocolTiming {
     let sim = Simulation::new(cell_config(kind, scale, engine, 1.0)).expect("valid config");
-    let run_mono = || sim.run_kind(kind).expect("valid system size");
-    let run_dyn = || sim.run(kind.build(AGENTS).expect("valid size"));
-    // Untimed warm-up of both paths, then `reps` *interleaved* timing
-    // pairs: alternating mono and dyn inside each rep exposes both paths
-    // to the same slice of machine noise, so the reported speedup ratio
-    // is not an artifact of load drifting between two timing blocks.
-    let (mut mono_report, mut dyn_report) = (run_mono(), run_dyn());
-    let (mut mono_min, mut dyn_min) = (f64::INFINITY, f64::INFINITY);
+    let run = || sim.run_kind(kind).expect("valid system size");
+    // One untimed warm-up run, then the minimum over `reps` timed runs.
+    let mut report = run();
+    let mut min = f64::INFINITY;
     for _ in 0..reps {
-        let (s, r) = time_once(run_mono);
-        mono_min = mono_min.min(s);
-        mono_report = r;
-        let (s, r) = time_once(run_dyn);
-        dyn_min = dyn_min.min(s);
-        dyn_report = r;
+        let (s, r) = time_once(run);
+        min = min.min(s);
+        report = r;
     }
-    assert_eq!(
-        mono_report.events, dyn_report.events,
-        "{kind}: dispatch paths disagree on event count"
-    );
-    let events = mono_report.events;
-    let arbitrations = mono_report.arbitrations;
     ProtocolTiming {
         protocol: kind.to_string(),
         engine: engine.to_string(),
-        events,
-        arbitrations,
-        mono_min_seconds: mono_min,
-        dyn_min_seconds: dyn_min,
-        mono_events_per_sec: events as f64 / mono_min,
-        dyn_events_per_sec: events as f64 / dyn_min,
-        mono_ns_per_arbitration: mono_min * 1e9 / arbitrations as f64,
-        dyn_ns_per_arbitration: dyn_min * 1e9 / arbitrations as f64,
-        mono_speedup_vs_dyn: dyn_min / mono_min,
-        metrics: mono_report.metrics,
+        events: report.events,
+        arbitrations: report.arbitrations,
+        mono_min_seconds: min,
+        mono_events_per_sec: report.events as f64 / min,
+        mono_ns_per_arbitration: min * 1e9 / report.arbitrations as f64,
+        metrics: report.metrics,
     }
 }
 
-/// Times the CV = 0.1 (Erlang k = 100) cell under both engines through
-/// the monomorphized path. The two engines draw different interrequest
-/// streams, so event counts differ slightly; each rate uses its own
-/// count. Reference and fast runs interleave inside each rep so both
-/// see the same slice of machine noise.
+/// Times the CV = 0.1 (Erlang k = 100) cell under both engines. The two
+/// engines draw different interrequest streams, so event counts differ
+/// slightly; each rate uses its own count. Reference and fast runs
+/// interleave inside each rep so both see the same slice of machine
+/// noise.
 fn time_draw_bound(kind: ProtocolKind, scale: Scale, reps: usize) -> DrawBoundTiming {
     let reference = Simulation::new(cell_config(kind, scale, DrawEngineKind::Reference, DRAW_BOUND_CV))
         .expect("valid config");
@@ -473,24 +430,22 @@ fn main() -> ExitCode {
     };
     let mut timings = Vec::new();
     for &engine in &engines {
-        for &kind in &PROTOCOLS {
+        for &kind in ProtocolKind::all() {
             let t = time_protocol(kind, args.scale, args.reps, engine);
             eprintln!(
-                "{:>14} ({:>9}): mono {:.4}s ({:.2}M events/s, {:.0} ns/arb)  dyn {:.4}s  mono/dyn {:.2}x",
+                "{:>14} ({:>9}): {:.4}s ({:.2}M events/s, {:.0} ns/arb)",
                 t.protocol,
                 t.engine,
                 t.mono_min_seconds,
                 t.mono_events_per_sec / 1e6,
-                t.mono_ns_per_arbitration,
-                t.dyn_min_seconds,
-                t.mono_speedup_vs_dyn
+                t.mono_ns_per_arbitration
             );
             timings.push(t);
         }
     }
 
     let draw_bound: Vec<DrawBoundTiming> = if args.engine.is_none() {
-        PROTOCOLS
+        ProtocolKind::all()
             .iter()
             .map(|&kind| {
                 let t = time_draw_bound(kind, args.scale, args.reps);

@@ -114,6 +114,18 @@ impl<A: Arbiter + ?Sized> Arbiter for Box<A> {
     }
 }
 
+/// A computation generic over the concrete arbiter type, run by
+/// [`ProtocolKind::visit`] on the arbiter a kind names. This is how code
+/// holding a runtime [`ProtocolKind`] gets a statically dispatched
+/// arbiter (the simulator monomorphizes its whole event loop this way).
+pub trait ArbiterVisitor {
+    /// What the visit produces.
+    type Output;
+
+    /// Consumes the freshly built arbiter.
+    fn visit<A: Arbiter + 'static>(self, arbiter: A) -> Self::Output;
+}
+
 /// Enumeration of every protocol in the library, for building arbiters
 /// from experiment configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -148,6 +160,50 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
+    /// Builds the default-parameter arbiter of this kind for `n` agents
+    /// and hands it, as its concrete type, to `visitor`.
+    ///
+    /// This is the workspace's one kind-to-constructor table: the boxed
+    /// [`ProtocolKind::build`] and the simulator's monomorphized
+    /// `run_kind` are both visitors over it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors (e.g. invalid agent counts).
+    pub fn visit<V: ArbiterVisitor>(self, n: u32, visitor: V) -> Result<V::Output, Error> {
+        use crate::{
+            AdaptiveArbiter, AssuredAccess, BatchingRule, CentralFcfs, CentralRoundRobin,
+            CounterStrategy, DistributedFcfs, DistributedRoundRobin, FixedPriority, HybridRrFcfs,
+            RotatingPriority, TicketFcfs,
+        };
+        Ok(match self {
+            ProtocolKind::FixedPriority => visitor.visit(FixedPriority::new(n)?),
+            ProtocolKind::AssuredAccessIdleBatch => {
+                visitor.visit(AssuredAccess::new(n, BatchingRule::IdleBatch)?)
+            }
+            ProtocolKind::AssuredAccessFairnessRelease => {
+                visitor.visit(AssuredAccess::new(n, BatchingRule::FairnessRelease)?)
+            }
+            ProtocolKind::AssuredAccessClosedBatch => {
+                visitor.visit(AssuredAccess::new(n, BatchingRule::ClosedBatch)?)
+            }
+            ProtocolKind::RoundRobin => visitor.visit(DistributedRoundRobin::new(n)?),
+            ProtocolKind::Fcfs1 => visitor.visit(DistributedFcfs::new(
+                n,
+                CounterStrategy::PerLostArbitration,
+            )?),
+            ProtocolKind::Fcfs2 => {
+                visitor.visit(DistributedFcfs::new(n, CounterStrategy::PerArrival)?)
+            }
+            ProtocolKind::CentralRoundRobin => visitor.visit(CentralRoundRobin::new(n)?),
+            ProtocolKind::CentralFcfs => visitor.visit(CentralFcfs::new(n)?),
+            ProtocolKind::Hybrid => visitor.visit(HybridRrFcfs::new(n)?),
+            ProtocolKind::Adaptive => visitor.visit(AdaptiveArbiter::new(n)?),
+            ProtocolKind::RotatingRr => visitor.visit(RotatingPriority::new(n)?),
+            ProtocolKind::TicketFcfs => visitor.visit(TicketFcfs::new(n)?),
+        })
+    }
+
     /// Builds a boxed arbiter of this kind for `n` agents with default
     /// parameters.
     ///
@@ -155,34 +211,36 @@ impl ProtocolKind {
     ///
     /// Propagates construction errors (e.g. invalid agent counts).
     pub fn build(self, n: u32) -> Result<Box<dyn Arbiter>, Error> {
-        use crate::{
-            AssuredAccess, BatchingRule, CentralFcfs, CentralRoundRobin, CounterStrategy,
-            DistributedFcfs, DistributedRoundRobin, FixedPriority, HybridRrFcfs,
-        };
-        Ok(match self {
-            ProtocolKind::FixedPriority => Box::new(FixedPriority::new(n)?),
-            ProtocolKind::AssuredAccessIdleBatch => {
-                Box::new(AssuredAccess::new(n, BatchingRule::IdleBatch)?)
+        struct Boxed;
+        impl ArbiterVisitor for Boxed {
+            type Output = Box<dyn Arbiter>;
+            fn visit<A: Arbiter + 'static>(self, arbiter: A) -> Box<dyn Arbiter> {
+                Box::new(arbiter)
             }
-            ProtocolKind::AssuredAccessFairnessRelease => {
-                Box::new(AssuredAccess::new(n, BatchingRule::FairnessRelease)?)
-            }
-            ProtocolKind::AssuredAccessClosedBatch => {
-                Box::new(AssuredAccess::new(n, BatchingRule::ClosedBatch)?)
-            }
-            ProtocolKind::RoundRobin => Box::new(DistributedRoundRobin::new(n)?),
-            ProtocolKind::Fcfs1 => Box::new(DistributedFcfs::new(
-                n,
-                CounterStrategy::PerLostArbitration,
-            )?),
-            ProtocolKind::Fcfs2 => Box::new(DistributedFcfs::new(n, CounterStrategy::PerArrival)?),
-            ProtocolKind::CentralRoundRobin => Box::new(CentralRoundRobin::new(n)?),
-            ProtocolKind::CentralFcfs => Box::new(CentralFcfs::new(n)?),
-            ProtocolKind::Hybrid => Box::new(HybridRrFcfs::new(n)?),
-            ProtocolKind::Adaptive => Box::new(crate::AdaptiveArbiter::new(n)?),
-            ProtocolKind::RotatingRr => Box::new(crate::RotatingPriority::new(n)?),
-            ProtocolKind::TicketFcfs => Box::new(crate::TicketFcfs::new(n)?),
-        })
+        }
+        self.visit(n, Boxed)
+    }
+
+    /// The protocol's CLI and file-name slug (`"rr"`, `"fcfs-1"`, …): the
+    /// one name table behind [`Display`](fmt::Display) and
+    /// [`FromStr`](core::str::FromStr).
+    #[must_use]
+    pub const fn slug(self) -> &'static str {
+        match self {
+            ProtocolKind::FixedPriority => "fixed-priority",
+            ProtocolKind::AssuredAccessIdleBatch => "aap-1",
+            ProtocolKind::AssuredAccessFairnessRelease => "aap-2",
+            ProtocolKind::AssuredAccessClosedBatch => "aap-2m",
+            ProtocolKind::RoundRobin => "rr",
+            ProtocolKind::Fcfs1 => "fcfs-1",
+            ProtocolKind::Fcfs2 => "fcfs-2",
+            ProtocolKind::CentralRoundRobin => "central-rr",
+            ProtocolKind::CentralFcfs => "central-fcfs",
+            ProtocolKind::Hybrid => "hybrid",
+            ProtocolKind::Adaptive => "adaptive",
+            ProtocolKind::RotatingRr => "rotating-rr",
+            ProtocolKind::TicketFcfs => "ticket-fcfs",
+        }
     }
 
     /// All kinds, for exhaustive comparisons.
@@ -219,22 +277,21 @@ impl ProtocolKind {
 
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ProtocolKind::FixedPriority => "fixed-priority",
-            ProtocolKind::AssuredAccessIdleBatch => "aap-1",
-            ProtocolKind::AssuredAccessFairnessRelease => "aap-2",
-            ProtocolKind::AssuredAccessClosedBatch => "aap-2m",
-            ProtocolKind::RoundRobin => "rr",
-            ProtocolKind::Fcfs1 => "fcfs-1",
-            ProtocolKind::Fcfs2 => "fcfs-2",
-            ProtocolKind::CentralRoundRobin => "central-rr",
-            ProtocolKind::CentralFcfs => "central-fcfs",
-            ProtocolKind::Hybrid => "hybrid",
-            ProtocolKind::Adaptive => "adaptive",
-            ProtocolKind::RotatingRr => "rotating-rr",
-            ProtocolKind::TicketFcfs => "ticket-fcfs",
-        };
-        f.write_str(s)
+        f.write_str(self.slug())
+    }
+}
+
+impl core::str::FromStr for ProtocolKind {
+    type Err = String;
+
+    /// Parses a slug as printed by [`ProtocolKind::slug`]; the error
+    /// lists the valid slugs.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let all = ProtocolKind::all();
+        all.iter().copied().find(|kind| kind.slug() == s).ok_or_else(|| {
+            let slugs: Vec<&str> = all.iter().map(|kind| kind.slug()).collect();
+            format!("unknown protocol '{s}' ({})", slugs.join("|"))
+        })
     }
 }
 
@@ -276,6 +333,25 @@ mod tests {
             assert!(kind.build(0).is_err(), "{kind}");
             assert!(kind.build(200).is_err(), "{kind}");
         }
+    }
+
+    #[test]
+    fn slugs_round_trip_through_from_str() {
+        for &kind in ProtocolKind::all() {
+            assert_eq!(kind.to_string(), kind.slug());
+            assert_eq!(kind.slug().parse::<ProtocolKind>(), Ok(kind));
+        }
+    }
+
+    #[test]
+    fn unknown_slug_error_lists_the_valid_slugs() {
+        let message = "round-robin".parse::<ProtocolKind>().unwrap_err();
+        assert!(message.contains("'round-robin'"), "{message}");
+        for &kind in ProtocolKind::all() {
+            assert!(message.contains(kind.slug()), "{message} lacks {kind}");
+        }
+        assert!("".parse::<ProtocolKind>().is_err());
+        assert!("RR".parse::<ProtocolKind>().is_err());
     }
 
     #[test]

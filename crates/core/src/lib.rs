@@ -59,7 +59,7 @@ mod round_robin;
 mod ticket;
 
 pub use adaptive::{AdaptiveArbiter, AdaptiveConfig, AdaptiveMode};
-pub use arbiter::{Arbiter, Grant, ProtocolKind};
+pub use arbiter::{Arbiter, ArbiterVisitor, Grant, ProtocolKind};
 pub use assured_access::{AssuredAccess, BatchingRule};
 pub use central::{CentralFcfs, CentralRoundRobin};
 pub use fcfs::{CounterStrategy, DistributedFcfs, FcfsConfig, PriorityCounterRule};

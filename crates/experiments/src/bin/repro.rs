@@ -367,8 +367,8 @@ fn main() -> ExitCode {
         "protocols" => {
             // One row per simulated protocol: slug, family name, and the
             // arbitration-number width on a 30-agent bus (distributed
-            // protocols only). This is the canonical roster `cargo xtask
-            // lint` checks the other dispatch sites against.
+            // protocols only). The roster is `ProtocolKind::all()`; the
+            // slugs come from `ProtocolKind::slug`.
             println!("{:<14} {:<16} lines(n=30)", "slug", "name");
             for &kind in ProtocolKind::all() {
                 let arbiter = kind.build(30).expect("30 agents is a valid size");

@@ -100,13 +100,6 @@ impl Default for Options {
     }
 }
 
-fn protocol_by_name(name: &str) -> Option<ProtocolKind> {
-    ProtocolKind::all()
-        .iter()
-        .copied()
-        .find(|k| k.to_string() == name)
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
@@ -114,9 +107,7 @@ fn parse_args() -> Result<Options, String> {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--protocol" => {
-                let v = value("--protocol")?;
-                opts.protocol =
-                    protocol_by_name(&v).ok_or_else(|| format!("unknown protocol '{v}'"))?;
+                opts.protocol = value("--protocol")?.parse()?;
             }
             "--agents" => opts.agents = value("--agents")?.parse().map_err(|e| format!("{e}"))?,
             "--load" => opts.load = value("--load")?.parse().map_err(|e| format!("{e}"))?,
@@ -169,16 +160,19 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn usage() -> &'static str {
-    "usage: simulate [--protocol NAME] [--agents N] [--load X] [--cv C]\n\
+fn usage() -> String {
+    let slugs: Vec<&str> = ProtocolKind::all().iter().map(|k| k.slug()).collect();
+    format!(
+        "usage: simulate [--protocol NAME] [--agents N] [--load X] [--cv C]\n\
      \u{20}               [--samples S] [--seed S] [--engine reference|fast]\n\
      \u{20}               [--urgent P] [--outstanding R]\n\
      \u{20}               [--overhead A] [--trace K] [--compare] [--jobs N]\n\
      \u{20}               [--trace-out FILE] [--trace-format jsonl|binary] [--metrics FILE]\n\
      \u{20}               [--boost F | --worst-case-rr | --worst-case-fcfs | --bursty B]\n\
      \u{20}               [--workload open|mesi]\n\
-     protocols: fixed-priority aap-1 aap-2 aap-2m rr fcfs-1 fcfs-2\n\
-     \u{20}          central-rr central-fcfs hybrid adaptive rotating-rr ticket-fcfs"
+     protocols: {}",
+        slugs.join(" ")
+    )
 }
 
 fn build_scenario(opts: &Options) -> Result<Scenario, String> {
@@ -232,10 +226,10 @@ fn run_one(opts: &Options, kind: ProtocolKind) -> Result<RunReport, String> {
     if let Some(path) = &opts.trace_out {
         config = config.with_trace_export(path, opts.trace_format);
     }
-    let arbiter = kind.build(opts.agents).map_err(|e| e.to_string())?;
-    Ok(Simulation::new(config)
+    Simulation::new(config)
         .map_err(|e| e.to_string())?
-        .run(arbiter))
+        .run_kind(kind)
+        .map_err(|e| e.to_string())
 }
 
 fn print_report(opts: &Options, report: &RunReport) {

@@ -76,34 +76,27 @@ pub fn seed_for(tag: &str) -> u64 {
 }
 
 /// The file-name-safe slug for one protocol, used to tag per-cell seeds
-/// and JSON outputs.
-///
-/// Matches the `Display` form of [`ProtocolKind`], but is spelled as an
-/// explicit per-variant match so `cargo xtask lint` can prove that every
-/// protocol is wired into the experiment layer.
+/// and JSON outputs: [`ProtocolKind::slug`].
 #[must_use]
 pub fn protocol_slug(kind: ProtocolKind) -> &'static str {
-    match kind {
-        ProtocolKind::FixedPriority => "fixed-priority",
-        ProtocolKind::AssuredAccessIdleBatch => "aap-1",
-        ProtocolKind::AssuredAccessFairnessRelease => "aap-2",
-        ProtocolKind::AssuredAccessClosedBatch => "aap-2m",
-        ProtocolKind::RoundRobin => "rr",
-        ProtocolKind::Fcfs1 => "fcfs-1",
-        ProtocolKind::Fcfs2 => "fcfs-2",
-        ProtocolKind::CentralRoundRobin => "central-rr",
-        ProtocolKind::CentralFcfs => "central-fcfs",
-        ProtocolKind::Hybrid => "hybrid",
-        ProtocolKind::Adaptive => "adaptive",
-        ProtocolKind::RotatingRr => "rotating-rr",
-        ProtocolKind::TicketFcfs => "ticket-fcfs",
-        // `ProtocolKind` is non-exhaustive; a kind without a slug here
-        // must fail loudly rather than silently inherit one.
-        other => unimplemented!("no experiment slug for {other}"),
-    }
+    kind.slug()
 }
 
-/// Runs one simulation cell.
+/// The simulation of one experiment cell: `scale`'s batches and warm-up,
+/// the seed derived from `tag`, and the process-wide draw engine.
+fn cell_simulation(scenario: Scenario, scale: Scale, tag: &str, collect_cdf: bool) -> Simulation {
+    let mut config = SystemConfig::new(scenario)
+        .with_batches(scale.batches())
+        .with_warmup(scale.warmup())
+        .with_seed(seed_for(tag))
+        .with_draw_engine(engine());
+    if collect_cdf {
+        config = config.with_cdf();
+    }
+    Simulation::new(config).expect("experiment configs are valid")
+}
+
+/// Runs one simulation cell with a custom-configured arbiter.
 ///
 /// # Panics
 ///
@@ -117,30 +110,17 @@ pub fn run_cell(
     tag: &str,
     collect_cdf: bool,
 ) -> RunReport {
-    let mut config = SystemConfig::new(scenario)
-        .with_batches(scale.batches())
-        .with_warmup(scale.warmup())
-        .with_seed(seed_for(tag))
-        .with_draw_engine(engine());
-    if collect_cdf {
-        config = config.with_cdf();
-    }
-    let report = Simulation::new(config)
-        .expect("experiment configs are valid")
-        .run(arbiter);
+    let report = cell_simulation(scenario, scale, tag, collect_cdf).run(arbiter);
     offer_rollup(tag, &report.metrics);
     report
 }
 
 /// Runs one simulation cell for a default-parameter protocol of `kind`
-/// through the **monomorphized** event loop ([`Simulation::run_kind`]).
-///
-/// This is the static-dispatch sibling of [`run_cell`]: sweeps over
-/// [`ProtocolKind`] should use it (the event loop is specialized per
-/// protocol — no virtual call per arbiter operation); cells that need a
-/// custom-configured arbiter keep using [`run_cell`] with a box. Both
-/// paths produce bit-for-bit identical reports for the same cell (pinned
-/// by the `dispatch_equivalence` regression test).
+/// through [`Simulation::run_kind`], which runs the arbiter as its
+/// concrete type. Sweeps over [`ProtocolKind`] use this; cells that
+/// need a custom-configured arbiter use [`run_cell`] with a box. Both
+/// produce bit-for-bit identical reports for the same cell (pinned by
+/// the `dispatch_equiv` regression test).
 ///
 /// # Panics
 ///
@@ -154,16 +134,7 @@ pub fn run_cell_kind(
     tag: &str,
     collect_cdf: bool,
 ) -> RunReport {
-    let mut config = SystemConfig::new(scenario)
-        .with_batches(scale.batches())
-        .with_warmup(scale.warmup())
-        .with_seed(seed_for(tag))
-        .with_draw_engine(engine());
-    if collect_cdf {
-        config = config.with_cdf();
-    }
-    let report = Simulation::new(config)
-        .expect("experiment configs are valid")
+    let report = cell_simulation(scenario, scale, tag, collect_cdf)
         .run_kind(kind)
         .expect("experiment scenarios use valid system sizes");
     offer_rollup(tag, &report.metrics);
@@ -457,13 +428,6 @@ mod tests {
         assert_eq!(engine(), DrawEngineKind::Fast);
         set_engine(DrawEngineKind::Reference);
         assert_eq!(engine(), DrawEngineKind::Reference);
-    }
-
-    #[test]
-    fn protocol_slug_matches_display_for_every_kind() {
-        for &kind in ProtocolKind::all() {
-            assert_eq!(protocol_slug(kind), kind.to_string());
-        }
     }
 
     #[test]

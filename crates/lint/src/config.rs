@@ -26,7 +26,7 @@ pub struct Config {
     pub fast_math_roots: Vec<RootSpec>,
     /// Mono-runner entry points: the panic-surface catalog scope.
     pub runner_roots: Vec<RootSpec>,
-    /// Path prefixes of crates feeding `RunReport`/sweep merge/serve
+    /// Path prefixes of crates feeding `RunReport`/sweep merge
     /// aggregation (determinism scope).
     pub determinism_paths: Vec<&'static str>,
     /// Variant-path token-count surfaces.
@@ -148,8 +148,8 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             root("crates/workload/src/engine.rs", Some("AgentStream"), "next_u64"),
         ],
         runner_roots: vec![
-            root("crates/sim/src/system.rs", None, "run_mono"),
-            root("crates/sim/src/system.rs", None, "run_kind"),
+            root("crates/sim/src/system.rs", Some("Simulation"), "run"),
+            root("crates/sim/src/system.rs", Some("Simulation"), "run_kind"),
         ],
         determinism_paths: vec![
             "crates/sim/",
@@ -162,14 +162,10 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             "src/",
         ],
         variant_sites: vec![
-            // Enum-adjacent: `build`, `all`, and the `Display` impl.
+            // Enum-adjacent: `visit`, `all`, and `slug`.
             TokenSite {
                 file: "crates/core/src/arbiter.rs",
                 min_count: 3,
-            },
-            TokenSite {
-                file: "crates/sim/src/system.rs",
-                min_count: 1,
             },
             TokenSite {
                 file: "crates/verify/src/model.rs",
@@ -179,20 +175,8 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
                 file: "crates/verify/src/spec.rs",
                 min_count: 1,
             },
-            TokenSite {
-                file: "crates/experiments/src/common.rs",
-                min_count: 1,
-            },
-            TokenSite {
-                file: "crates/bench/src/bin/bench_run.rs",
-                min_count: 1,
-            },
         ],
         slug_sites: vec![
-            TokenSite {
-                file: "crates/experiments/src/bin/simulate.rs",
-                min_count: 1,
-            },
             // The streaming analyzers' protocol-family dispatch: every
             // slug must map to an adapter (its wildcard arm is for
             // *future* protocols, not an excuse to skip present ones).
@@ -202,25 +186,16 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             },
         ],
         match_sites: vec![
+            // The one kind -> constructor table and the one slug table.
             MatchSite {
                 file: "crates/core/src/arbiter.rs",
                 impl_type: Some("ProtocolKind"),
-                fn_name: "build",
+                fn_name: "visit",
             },
             MatchSite {
                 file: "crates/core/src/arbiter.rs",
                 impl_type: Some("ProtocolKind"),
-                fn_name: "fmt",
-            },
-            MatchSite {
-                file: "crates/sim/src/system.rs",
-                impl_type: None,
-                fn_name: "run_kind",
-            },
-            MatchSite {
-                file: "crates/experiments/src/common.rs",
-                impl_type: None,
-                fn_name: "protocol_slug",
+                fn_name: "slug",
             },
             MatchSite {
                 file: "crates/verify/src/spec.rs",

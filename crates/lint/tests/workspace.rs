@@ -82,3 +82,25 @@ fn scan_statistics_stay_in_a_sane_band() {
         "the runner catalogs its assert!-guard surface"
     );
 }
+
+/// Upper bound on the panic sites reachable from the run entry points
+/// (`Simulation::run` and `Simulation::run_kind`). A ratchet: lower it
+/// when a site goes away, never raise it to admit a new one.
+const PANIC_SURFACE_MAX: usize = 66;
+
+#[test]
+fn runner_panic_surface_cannot_grow() {
+    let report = run(&real_workspace(), &real_config(), &Baseline::empty());
+    let sites: Vec<String> = report
+        .panic_surface
+        .iter()
+        .map(|s| format!("{}:{} {} {}", s.file, s.line, s.function, s.construct))
+        .collect();
+    assert!(
+        sites.len() <= PANIC_SURFACE_MAX,
+        "{} panic sites are reachable from the run entry points (ratchet: \
+         {PANIC_SURFACE_MAX}); remove the new ones instead of raising the bound:\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}

@@ -52,44 +52,6 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// An infallible in-memory sink, mostly for tests and tools that
-/// post-process events directly.
-#[derive(Clone, Debug, Default)]
-pub struct MemorySink {
-    events: Vec<TraceEvent>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// The recorded events, in order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Consumes the sink, returning the recorded events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        self.events.push(*event);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// A write-through JSON Lines sink: one header line, then one compact
 /// JSON object per event. Floats are formatted with Rust's shortest
 /// round-trip representation, so a parse reproduces them bit-exactly.
@@ -381,14 +343,6 @@ mod tests {
         assert_eq!(h, header());
         assert_eq!(evs, events());
         assert!(bytes.len() < jsonl.into_inner().len());
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
-        record_all(&mut sink, &events());
-        assert_eq!(sink.events(), &events()[..]);
-        assert_eq!(sink.into_events(), events());
     }
 
     #[test]

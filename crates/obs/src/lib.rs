@@ -23,9 +23,9 @@
 //!   the incremental [`TraceReader`], which yields one event at a time
 //!   from any [`std::io::Read`] in bounded memory and reports malformed
 //!   input as a structured [`StreamError`] naming the byte offset (and
-//!   line, for JSONL). `busarb-tail` builds its streaming analyzers —
-//!   `busarb analyze` / `busarb serve` — on [`TraceReader`] plus the
-//!   incremental [`ReplayBuilder`].
+//!   line, for JSONL). `busarb-tail` builds its streaming analyzer —
+//!   `busarb analyze` — on [`TraceReader`] plus the incremental
+//!   [`ReplayBuilder`].
 //! * **Replay** ([`replay`]) — recomputes run-level aggregates (mean
 //!   wait with its batch-means confidence interval, utilization, grant
 //!   and completion counts) from an exported trace alone, mirroring the
@@ -72,14 +72,14 @@ mod replay;
 mod snapshot;
 mod stream;
 
-pub use export::{open_file_sink, read_trace, read_trace_file, BinarySink, JsonlSink, MemorySink};
+pub use export::{open_file_sink, read_trace, read_trace_file, BinarySink, JsonlSink};
 pub use metrics::{LogHistogram, WindowedRate, HISTOGRAM_BUCKETS, RATE_WINDOW};
 pub use registry::MetricsRegistry;
 pub use replay::{replay, Replay, ReplayBuilder};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, RateSnapshot};
 pub use stream::{open_trace, stream_error, StreamError, TraceReader, MAX_LINE_BYTES};
 
-use busarb_types::TraceEvent;
+use busarb_types::{AgentSet, TraceEvent};
 
 /// The schema tag written into every exported trace header.
 pub const TRACE_SCHEMA: &str = "busarb-trace/1";
@@ -146,7 +146,9 @@ impl TraceHeader {
     /// # Errors
     ///
     /// Returns an [`std::io::ErrorKind::InvalidData`] error when a field
-    /// is missing, mistyped, or the schema tag is unknown.
+    /// is missing, mistyped, or the schema tag is unknown, or when the
+    /// agent count lies outside `1..=128` (readers size per-agent state
+    /// from it, so a corrupt count must not reach an allocation).
     pub fn from_value(value: &serde::Value) -> std::io::Result<Self> {
         fn field<'v, T>(
             value: &'v serde::Value,
@@ -167,12 +169,23 @@ impl TraceHeader {
                 format!("unsupported trace schema `{schema}` (expected `{TRACE_SCHEMA}`)"),
             ));
         }
+        let agents = field(value, "agents", serde::Value::as_u64)?;
+        let agents = u32::try_from(agents)
+            .ok()
+            .filter(|n| (1..=AgentSet::MAX_ID).contains(n))
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "trace header: agent count {agents} outside 1..={}",
+                        AgentSet::MAX_ID
+                    ),
+                )
+            })?;
         Ok(TraceHeader {
             schema: schema.to_string(),
             protocol: field(value, "protocol", serde::Value::as_str)?.to_string(),
-            agents: u32::try_from(field(value, "agents", serde::Value::as_u64)?).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "agent count exceeds u32")
-            })?,
+            agents,
             seed: field(value, "seed", serde::Value::as_u64)?,
             warmup_samples: field(value, "warmup_samples", serde::Value::as_u64)?,
             batches: field(value, "batches", serde::Value::as_u64)?,
@@ -185,9 +198,9 @@ impl TraceHeader {
 /// A destination for exported trace events.
 ///
 /// The simulator drives a sink once per trace event and calls
-/// [`TraceSink::finish`] exactly once at the end of the run. Sinks are
-/// infallible in-memory ([`MemorySink`]) or write-through to I/O
-/// ([`JsonlSink`], [`BinarySink`]).
+/// [`TraceSink::finish`] exactly once at the end of the run. The sinks
+/// here write through to I/O ([`JsonlSink`], [`BinarySink`]); the
+/// simulator's bounded in-memory trace is `busarb_sim::Trace`.
 pub trait TraceSink {
     /// Records one event.
     ///

@@ -849,6 +849,29 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_agent_counts_are_rejected_in_both_framings() {
+        // Readers size per-agent state from the header's roster, so a
+        // corrupt count must fail at the header instead of reaching an
+        // allocation.
+        for agents in [0, 129, u32::MAX] {
+            let header = TraceHeader { agents, ..header() };
+            for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+                let mut bytes = Vec::new();
+                match format {
+                    TraceFormat::Jsonl => JsonlSink::new(&mut bytes, &header).unwrap().finish(),
+                    TraceFormat::Binary => BinarySink::new(&mut bytes, &header).unwrap().finish(),
+                }
+                .unwrap();
+                let err = TraceReader::new(&bytes[..]).unwrap_err();
+                assert!(
+                    err.message.contains(&format!("agent count {agents} outside 1..=128")),
+                    "{agents} ({format}): {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn implausible_binary_header_length_is_rejected_without_allocation() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);

@@ -19,6 +19,13 @@
 //! Output analysis uses the method of batch means with the paper's 10 ×
 //! 8000-sample configuration by default ([`busarb_stats`]).
 //!
+//! A [`Simulation`] has two entry points, both running one event loop
+//! monomorphized over the arbiter type: [`Simulation::run`] takes any
+//! [`Arbiter`](busarb_core::Arbiter) (a concrete protocol, or a
+//! `Box<dyn Arbiter>`), and [`Simulation::run_kind`] builds the
+//! default-parameter arbiter a [`ProtocolKind`](busarb_core::ProtocolKind)
+//! names and runs it as its concrete type.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +40,7 @@
 //!     .with_batches(busarb_stats::BatchMeansConfig::quick(200))
 //!     .with_seed(42);
 //! # let _ = BatchMeansConfig::quick(1);
-//! let report = Simulation::new(config)?.run(ProtocolKind::RoundRobin.build(10)?);
+//! let report = Simulation::new(config)?.run_kind(ProtocolKind::RoundRobin)?;
 //! assert!(report.mean_wait.mean > 1.0);
 //! assert!(report.utilization > 0.9);
 //! # Ok(())

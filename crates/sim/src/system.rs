@@ -1,6 +1,6 @@
 //! The bus system model.
 
-use busarb_core::{Arbiter, Grant, ProtocolKind};
+use busarb_core::{Arbiter, ArbiterVisitor, Grant, ProtocolKind};
 use busarb_mem::CoherenceSystem;
 use busarb_obs::{open_file_sink, MetricsRegistry, TraceHeader, TraceSink, TRACE_SCHEMA};
 use busarb_stats::{BatchMeans, BatchTally, Cdf, Summary};
@@ -156,12 +156,18 @@ impl Simulation {
     /// Runs the model to completion (all batches full) and returns the
     /// measurements.
     ///
-    /// This is the dynamic-dispatch entry point, kept for code that
-    /// assembles arbiters at runtime; it is a thin wrapper over
-    /// [`Simulation::run_mono`] with `A = Box<dyn Arbiter>` (one virtual
-    /// call per arbiter operation). Hot paths should prefer
-    /// [`Simulation::run_mono`] or [`Simulation::run_kind`], which
-    /// monomorphize the whole event loop over the concrete protocol type.
+    /// The event loop is monomorphized over the arbiter type, so every
+    /// `on_request`/`arbitrate`/`pending` call on a concrete protocol is
+    /// statically dispatched (and inlinable); a `Box<dyn Arbiter>` runs
+    /// the same loop through the blanket `impl Arbiter for Box<A>`. The
+    /// loop is further monomorphized over the calendar width (scenarios
+    /// of up to 64 agents run the one-occupancy-word fast path `W = 1`,
+    /// larger ones the full two-word width) and over the configured
+    /// [`DrawEngine`], so engine selection costs nothing inside the loop.
+    ///
+    /// The report is **bit-for-bit identical** to the legacy per-agent
+    /// path ([`Simulation::run_legacy`]) for the same arbiter and
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -169,30 +175,7 @@ impl Simulation {
     /// if the event loop exceeds its safety budget without filling the
     /// batches (which indicates a deadlocked protocol).
     #[must_use]
-    pub fn run(&self, arbiter: Box<dyn Arbiter>) -> RunReport {
-        self.run_mono(arbiter)
-    }
-
-    /// Runs the model with the event loop monomorphized over the concrete
-    /// arbiter type: every `on_request`/`arbitrate`/`pending` call is
-    /// statically dispatched (and inlinable), which is measurably faster
-    /// than [`Simulation::run`] on arbitration-dominated runs.
-    ///
-    /// The event loop is additionally monomorphized over the calendar
-    /// width (scenarios of up to 64 agents run the one-occupancy-word
-    /// fast path `W = 1`, larger ones the full two-word width) and over
-    /// the configured [`DrawEngine`], so engine selection costs nothing
-    /// inside the loop.
-    ///
-    /// The report is **bit-for-bit identical** to the dynamic path for the
-    /// same arbiter and configuration — both run the same generic runner —
-    /// and to the legacy per-agent path ([`Simulation::run_legacy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::run`].
-    #[must_use]
-    pub fn run_mono<A: Arbiter>(&self, arbiter: A) -> RunReport {
+    pub fn run<A: Arbiter>(&self, arbiter: A) -> RunReport {
         let narrow = self.config.scenario.agents() <= 64;
         match (narrow, self.config.draw_engine) {
             (true, DrawEngineKind::Reference) => {
@@ -214,7 +197,7 @@ impl Simulation {
     /// pre-plane implementation preserved in [`crate::legacy`]: per-agent
     /// structs with `VecDeque` request queues and the reference
     /// `BinaryHeap` event queue. It shares no hot-path data structures
-    /// with [`Simulation::run_mono`], yet must produce a bit-for-bit
+    /// with [`Simulation::run`], yet must produce a bit-for-bit
     /// identical [`RunReport`] (metrics snapshot included); the
     /// `soa_equiv` property test enforces exactly that across every
     /// protocol and start rule. Use it as the oracle in differential
@@ -236,57 +219,33 @@ impl Simulation {
     }
 
     /// Builds a default-parameter arbiter of `kind` for the scenario's
-    /// agent count and runs it through the monomorphized event loop
-    /// ([`Simulation::run_mono`]) — the `ProtocolKind -> static dispatch`
-    /// bridge used by experiment sweeps.
-    ///
-    /// Kinds this build does not know statically (future `#[non_exhaustive]`
-    /// additions) fall back to the boxed path.
+    /// agent count and runs it through [`Simulation::run`] as its concrete
+    /// type — the `ProtocolKind -> static dispatch` bridge used by
+    /// experiment sweeps.
     ///
     /// # Errors
     ///
     /// Propagates arbiter construction errors (e.g. invalid agent counts).
     pub fn run_kind(&self, kind: ProtocolKind) -> Result<RunReport, Error> {
-        use busarb_core::{
-            AdaptiveArbiter, AssuredAccess, BatchingRule, CentralFcfs, CentralRoundRobin,
-            CounterStrategy, DistributedFcfs, DistributedRoundRobin, FixedPriority, HybridRrFcfs,
-            RotatingPriority, TicketFcfs,
-        };
-        let n = self.config.scenario.agents();
-        Ok(match kind {
-            ProtocolKind::FixedPriority => self.run_mono(FixedPriority::new(n)?),
-            ProtocolKind::AssuredAccessIdleBatch => {
-                self.run_mono(AssuredAccess::new(n, BatchingRule::IdleBatch)?)
-            }
-            ProtocolKind::AssuredAccessFairnessRelease => {
-                self.run_mono(AssuredAccess::new(n, BatchingRule::FairnessRelease)?)
-            }
-            ProtocolKind::AssuredAccessClosedBatch => {
-                self.run_mono(AssuredAccess::new(n, BatchingRule::ClosedBatch)?)
-            }
-            ProtocolKind::RoundRobin => self.run_mono(DistributedRoundRobin::new(n)?),
-            ProtocolKind::Fcfs1 => self.run_mono(DistributedFcfs::new(
-                n,
-                CounterStrategy::PerLostArbitration,
-            )?),
-            ProtocolKind::Fcfs2 => {
-                self.run_mono(DistributedFcfs::new(n, CounterStrategy::PerArrival)?)
-            }
-            ProtocolKind::CentralRoundRobin => self.run_mono(CentralRoundRobin::new(n)?),
-            ProtocolKind::CentralFcfs => self.run_mono(CentralFcfs::new(n)?),
-            ProtocolKind::Hybrid => self.run_mono(HybridRrFcfs::new(n)?),
-            ProtocolKind::Adaptive => self.run_mono(AdaptiveArbiter::new(n)?),
-            ProtocolKind::RotatingRr => self.run_mono(RotatingPriority::new(n)?),
-            ProtocolKind::TicketFcfs => self.run_mono(TicketFcfs::new(n)?),
-            _ => self.run(kind.build(n)?),
-        })
+        kind.visit(self.config.scenario.agents(), RunWith(self))
+    }
+}
+
+/// [`Simulation::run`] as a visitor over [`ProtocolKind::visit`].
+struct RunWith<'s>(&'s Simulation);
+
+impl ArbiterVisitor for RunWith<'_> {
+    type Output = RunReport;
+
+    fn visit<A: Arbiter + 'static>(self, arbiter: A) -> RunReport {
+        self.0.run(arbiter)
     }
 }
 
 /// The live state of one run, generic over the arbiter so the event loop
 /// monomorphizes (no virtual dispatch inside the hot loop when `A` is a
-/// concrete protocol type; the boxed path instantiates `A = Box<dyn
-/// Arbiter>` and behaves exactly as before), over the calendar width
+/// concrete protocol type; a boxed arbiter instantiates `A = Box<dyn
+/// Arbiter>`), over the calendar width
 /// `W` so queue scans and agent planes compile down to the exact number
 /// of 64-slot words the scenario needs, and over the draw engine `E` so
 /// think-time sampling inlines into the loop.

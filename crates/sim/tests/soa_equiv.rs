@@ -1,5 +1,5 @@
 //! SoA-plane equivalence property: the production event loop — calendar
-//! queue plus struct-of-arrays agent planes ([`Simulation::run_mono`]) —
+//! queue plus struct-of-arrays agent planes ([`Simulation::run`]) —
 //! must produce bit-for-bit the same [`busarb_sim::RunReport`] as the
 //! legacy per-agent runner ([`Simulation::run_legacy`]), which keeps the
 //! original `VecDeque`-per-agent state and binary-heap event queue and
@@ -48,7 +48,7 @@ fn check_cell(agents: u32, load: f64, seed: u64, max_outstanding: u32, samples: 
                     config = config.with_max_outstanding(max_outstanding);
                 }
                 let sim = Simulation::new(config).expect("valid config");
-                let planes = sim.run_mono(kind.build(agents).expect("valid size"));
+                let planes = sim.run(kind.build(agents).expect("valid size"));
                 let legacy = sim.run_legacy(kind.build(agents).expect("valid size"));
                 assert_eq!(
                     format!("{planes:?}"),
@@ -84,7 +84,7 @@ fn check_mesi_cell(agents: u32, seed: u64, kinds: &[ProtocolKind], samples: usiz
                     .with_start_rule(rule)
                     .with_cdf();
                 let sim = Simulation::new(config).expect("valid config");
-                let planes = sim.run_mono(kind.build(agents).expect("valid size"));
+                let planes = sim.run(kind.build(agents).expect("valid size"));
                 let legacy = sim.run_legacy(kind.build(agents).expect("valid size"));
                 assert_eq!(
                     format!("{planes:?}"),
@@ -171,7 +171,7 @@ fn planes_match_legacy_under_erlang_draws() {
             .with_cdf();
         let sim = Simulation::new(config).expect("valid config");
         let kind = ProtocolKind::RoundRobin;
-        let planes = sim.run_mono(kind.build(10).expect("valid size"));
+        let planes = sim.run(kind.build(10).expect("valid size"));
         let legacy = sim.run_legacy(kind.build(10).expect("valid size"));
         assert_eq!(
             format!("{planes:?}"),

@@ -58,8 +58,7 @@ pub trait ProtocolAdapter {
     /// Folds one trace event into the adapter state. Allocation-free.
     fn on_event(&mut self, event: &TraceEvent);
 
-    /// Snapshots the adapter into its report. Non-consuming so serve
-    /// mode can publish partial reports while ingest continues.
+    /// Snapshots the adapter into its report without consuming it.
     fn report(&self) -> AdapterReport;
 }
 

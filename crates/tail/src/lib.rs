@@ -24,19 +24,16 @@
 //!   quantity: round-robin rotation-step occupancy, FCFS counter lag,
 //!   or assured-access bypass counts.
 //!
-//! Three front doors drive the pipeline: `busarb analyze FILE...` (one
-//! deterministic report per trace, text or JSON), `repro inspect` (the
-//! experiments harness's cross-check, rewired onto this streaming
-//! path), and `busarb serve` ([`serve`]) — a long-running process that
-//! ingests several trace streams concurrently and answers aggregate
-//! queries over a line-oriented protocol.
+//! Two front doors drive the pipeline: `busarb analyze FILE...` (one
+//! deterministic report per trace, text or JSON) and `repro inspect`
+//! (the experiments harness's cross-check, rewired onto this streaming
+//! path).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adapters;
 mod fairness;
-pub mod serve;
 pub mod synth;
 mod usage;
 
@@ -108,7 +105,7 @@ impl ReplaySummary {
 pub struct AnalysisReport {
     /// Schema tag ([`ANALYSIS_SCHEMA`]).
     pub schema: String,
-    /// Stream name (file path or serve-mode stream tag).
+    /// Stream name ([`analyze_path`] uses the trace's file path).
     pub source: String,
     /// On-disk framing the stream used (`jsonl` or `binary`).
     pub format: String,
@@ -265,7 +262,7 @@ impl Pipeline {
     }
 
     /// Snapshots the current state into a report without consuming the
-    /// pipeline (serve mode publishes these while ingest continues).
+    /// pipeline.
     #[must_use]
     pub fn report(&self, source: &str, format: TraceFormat) -> AnalysisReport {
         AnalysisReport {

@@ -52,24 +52,6 @@ pub struct UsageReport {
 }
 
 impl UsageReport {
-    /// An all-zero report: the identity element of [`merge`].
-    ///
-    /// [`merge`]: UsageReport::merge
-    #[must_use]
-    pub fn empty() -> Self {
-        UsageReport {
-            span: 0.0,
-            busy: 0.0,
-            backpressure: 0.0,
-            free: 0.0,
-            idle: 0.0,
-            transfers: 0,
-            bursts: 0,
-            delay: HistogramSnapshot::of(&LogHistogram::new()),
-            burst_len: HistogramSnapshot::of(&LogHistogram::new()),
-        }
-    }
-
     /// Fraction of the span classified busy (0 on an empty span).
     #[must_use]
     pub fn busy_fraction(&self) -> f64 {
@@ -78,21 +60,6 @@ impl UsageReport {
         } else {
             0.0
         }
-    }
-
-    /// Folds another stream's usage into this one (times and counts add,
-    /// histograms merge bucketwise). Used by serve-mode aggregation;
-    /// fold in tag-sorted stream order for deterministic float sums.
-    pub fn merge(&mut self, other: &UsageReport) {
-        self.span += other.span;
-        self.busy += other.busy;
-        self.backpressure += other.backpressure;
-        self.free += other.free;
-        self.idle += other.idle;
-        self.transfers += other.transfers;
-        self.bursts += other.bursts;
-        self.delay.merge(&other.delay);
-        self.burst_len.merge(&other.burst_len);
     }
 }
 
@@ -306,21 +273,5 @@ mod tests {
         assert_eq!(r.burst_len.max, 2.0);
         assert_eq!(r.idle, 3.0);
         assert_eq!(r.busy, 3.0);
-    }
-
-    #[test]
-    fn merge_adds_components() {
-        let mut u = BusUsage::new();
-        u.push(&ev(1.0, TraceKind::Request { agent: id(1) }));
-        let mut a = u.clone().finish();
-        let b = u.finish();
-        a.merge(&b);
-        assert_eq!(a.span, 2.0);
-        assert_eq!(a.idle, 2.0);
-        let empty = UsageReport::empty();
-        let mut c = a.clone();
-        c.merge(&empty);
-        assert_eq!(c.span, a.span);
-        assert_eq!(c.transfers, a.transfers);
     }
 }

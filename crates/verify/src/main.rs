@@ -49,13 +49,6 @@ fn usage() -> String {
     )
 }
 
-fn parse_kind(slug: &str) -> Option<ProtocolKind> {
-    ProtocolKind::all()
-        .iter()
-        .copied()
-        .find(|k| k.to_string() == slug)
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         kinds: Vec::new(),
@@ -77,10 +70,7 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--all" => all = true,
             "--protocol" => {
-                let slug = value("--protocol")?;
-                let kind =
-                    parse_kind(&slug).ok_or_else(|| format!("unknown protocol '{slug}'"))?;
-                args.kinds.push(kind);
+                args.kinds.push(value("--protocol")?.parse()?);
             }
             "--agents" => {
                 single_size = Some(

@@ -37,7 +37,7 @@ fn main() -> Result<(), busarb::types::Error> {
         ProtocolKind::Fcfs1,
         ProtocolKind::Fcfs2,
     ] {
-        let report = Simulation::new(config.clone())?.run(kind.build(AGENTS)?);
+        let report = Simulation::new(config.clone())?.run_kind(kind)?;
         let throughputs: Vec<f64> = (1..=AGENTS).map(|a| report.agent_throughput(a)).collect();
         let max = throughputs.iter().copied().fold(f64::MIN, f64::max);
         let min = throughputs.iter().copied().fold(f64::MAX, f64::min);

@@ -22,7 +22,7 @@ fn main() -> Result<(), busarb::types::Error> {
             .with_batches(BatchMeansConfig::quick(2000))
             .with_warmup(1000)
             .with_seed(99);
-        let report = Simulation::new(config)?.run(ProtocolKind::RoundRobin.build(n)?);
+        let report = Simulation::new(config)?.run_kind(ProtocolKind::RoundRobin)?;
         let model = BusModel::paper(n, load)?;
         let predicted = model.predicted_wait();
         let error = (report.mean_wait.mean - predicted) / report.mean_wait.mean;

@@ -38,7 +38,7 @@ fn main() -> Result<(), busarb::types::Error> {
             .with_batches(BatchMeansConfig::quick(2000))
             .with_seed(31337)
             .with_max_outstanding(r);
-        let report = Simulation::new(sim_config)?.run(Box::new(arbiter));
+        let report = Simulation::new(sim_config)?.run(arbiter);
         println!(
             "{:>3} {:>8.3} {:>12} {:>10.2} {:>14}",
             r,

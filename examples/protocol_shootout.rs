@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let config = SystemConfig::new(scenario.clone())
                 .with_batches(BatchMeansConfig::quick(1000))
                 .with_seed(7777);
-            let report = Simulation::new(config)?.run(kind.build(agents)?);
+            let report = Simulation::new(config)?.run_kind(kind)?;
             let fairness = report
                 .throughput_ratio(agents, 1, 0.90)
                 .map_or_else(|| "n/a".to_string(), |r| r.estimate.to_string());

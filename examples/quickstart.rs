@@ -25,7 +25,7 @@ fn main() -> Result<(), busarb::types::Error> {
         ProtocolKind::Fcfs1,
         ProtocolKind::AssuredAccessIdleBatch,
     ] {
-        let report = Simulation::new(config.clone())?.run(kind.build(10)?);
+        let report = Simulation::new(config.clone())?.run_kind(kind)?;
         let fairness = report
             .throughput_ratio(10, 1, 0.90)
             .map_or_else(|| "n/a".to_string(), |r| r.estimate.to_string());

@@ -1,15 +1,9 @@
 //! `busarb` — the trace-analytics command line.
 //!
-//! Two subcommands over `busarb-tail`'s streaming engine:
-//!
-//! * `busarb analyze [--json] FILE...` — one bounded-memory pass per
-//!   trace (JSONL or BTRC, auto-detected), printing a deterministic
-//!   report per file. Parse failures name the byte offset and exit
-//!   nonzero.
-//! * `busarb serve [--socket PATH] [NAME=]FILE...` — long-running
-//!   multi-stream ingest answering line-oriented queries on stdin (or a
-//!   Unix socket): `streams`, `report <name>`, `aggregate`, `drain`,
-//!   `quit`.
+//! `busarb analyze [--json] FILE...` runs `busarb-tail`'s streaming
+//! engine: one bounded-memory pass per trace (JSONL or BTRC,
+//! auto-detected), printing a deterministic report per file. Parse
+//! failures name the byte offset and exit nonzero.
 //!
 //! Exit status: 0 on success, 1 when any analysis fails, 2 on usage
 //! errors.
@@ -24,7 +18,6 @@ fn main() -> ExitCode {
     };
     match command.as_str() {
         "analyze" => analyze(&args[1..]),
-        "serve" => serve(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -44,12 +37,6 @@ commands:
                                     auto-detected), one streaming pass per
                                     file; --json prints one report object
                                     per line instead of text
-  serve [--socket PATH] [NAME=]FILE...
-                                    ingest every stream concurrently and
-                                    answer queries (streams / report NAME /
-                                    aggregate / drain / quit) line-by-line
-                                    on stdin, or on a Unix socket with
-                                    --socket
   help                              show this message
 ";
 
@@ -97,60 +84,5 @@ fn analyze(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// `busarb serve [--socket PATH] [NAME=]FILE...`
-fn serve(args: &[String]) -> ExitCode {
-    let mut socket: Option<PathBuf> = None;
-    let mut streams: Vec<(String, PathBuf)> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--socket" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("busarb serve: --socket needs a path");
-                    return usage();
-                };
-                socket = Some(PathBuf::from(path));
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("busarb serve: unknown flag `{flag}`");
-                return usage();
-            }
-            spec => {
-                // NAME=FILE names the stream; a bare FILE uses its stem.
-                let (name, path) = match spec.split_once('=') {
-                    Some((name, path)) => (name.to_string(), PathBuf::from(path)),
-                    None => {
-                        let path = PathBuf::from(spec);
-                        let stem = path
-                            .file_stem()
-                            .map_or_else(|| spec.to_string(), |s| s.to_string_lossy().into_owned());
-                        (stem, path)
-                    }
-                };
-                streams.push((name, path));
-            }
-        }
-    }
-    if streams.is_empty() {
-        eprintln!("busarb serve: no trace streams given");
-        return usage();
-    }
-    let result = match socket {
-        Some(path) => busarb_tail::serve::serve_socket(&streams, &path),
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            busarb_tail::serve::serve_streams(&streams, stdin.lock(), stdout.lock())
-        }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("busarb serve: {e}");
-            ExitCode::FAILURE
-        }
     }
 }

@@ -34,7 +34,7 @@
 //! let config = SystemConfig::new(scenario)
 //!     .with_batches(BatchMeansConfig::quick(500))
 //!     .with_seed(7);
-//! let report = Simulation::new(config)?.run(ProtocolKind::RoundRobin.build(10)?);
+//! let report = Simulation::new(config)?.run_kind(ProtocolKind::RoundRobin)?;
 //!
 //! let fairness = report.throughput_ratio(10, 1, 0.90).unwrap();
 //! assert!((fairness.estimate.mean - 1.0).abs() < 0.1);
