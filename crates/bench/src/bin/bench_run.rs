@@ -9,8 +9,9 @@
 //! Each protocol runs the same Quick-scale cell (30 agents, load 2.0,
 //! deterministic per-protocol seed) through [`Simulation::run_kind`],
 //! once per selected draw engine. The JSON records, per (protocol,
-//! engine), the event count, minimum wall-clock of `reps` runs, and the
-//! derived events/sec and ns/arbitration figures. The `mono_` prefix of
+//! engine), the event count, minimum wall-clock of `reps` runs (the
+//! protocols take turns, one run each per round), and the derived
+//! events/sec and ns/arbitration figures. The `mono_` prefix of
 //! those fields names the monomorphized event loop every run goes
 //! through; the `--floor` gate reads `mono_events_per_sec`.
 //!
@@ -347,66 +348,84 @@ fn time_once(f: impl FnOnce() -> RunReport) -> (f64, RunReport) {
     (start.elapsed().as_secs_f64(), report)
 }
 
-fn time_protocol(
-    kind: ProtocolKind,
-    scale: Scale,
-    reps: usize,
-    engine: DrawEngineKind,
-) -> ProtocolTiming {
-    let sim = Simulation::new(cell_config(kind, scale, engine, 1.0)).expect("valid config");
-    let run = || sim.run_kind(kind).expect("valid system size");
-    // One untimed warm-up run, then the minimum over `reps` timed runs.
-    let mut report = run();
-    let mut min = f64::INFINITY;
+/// One untimed warm-up run of every cell, then `reps` rounds that run
+/// each cell once in turn; returns each cell's last report and minimum
+/// wall-clock. Taking turns spreads a burst of host noise over all the
+/// cells instead of sinking every rep of one.
+fn interleaved_minimums(cells: &[(ProtocolKind, Simulation)], reps: usize) -> Vec<(RunReport, f64)> {
+    let run = |(kind, sim): &(ProtocolKind, Simulation)| {
+        sim.run_kind(*kind).expect("valid system size")
+    };
+    let mut timed: Vec<(RunReport, f64)> =
+        cells.iter().map(|cell| (run(cell), f64::INFINITY)).collect();
     for _ in 0..reps {
-        let (s, r) = time_once(run);
-        min = min.min(s);
-        report = r;
+        for (cell, (report, min)) in cells.iter().zip(&mut timed) {
+            let (s, r) = time_once(|| run(cell));
+            *min = min.min(s);
+            *report = r;
+        }
     }
-    ProtocolTiming {
-        protocol: kind.to_string(),
-        engine: engine.to_string(),
-        events: report.events,
-        arbitrations: report.arbitrations,
-        mono_min_seconds: min,
-        mono_events_per_sec: report.events as f64 / min,
-        mono_ns_per_arbitration: min * 1e9 / report.arbitrations as f64,
-        metrics: report.metrics,
-    }
+    timed
 }
 
-/// Times the CV = 0.1 (Erlang k = 100) cell under both engines. The two
-/// engines draw different interrequest streams, so event counts differ
-/// slightly; each rate uses its own count. Reference and fast runs
-/// interleave inside each rep so both see the same slice of machine
-/// noise.
-fn time_draw_bound(kind: ProtocolKind, scale: Scale, reps: usize) -> DrawBoundTiming {
-    let reference = Simulation::new(cell_config(kind, scale, DrawEngineKind::Reference, DRAW_BOUND_CV))
-        .expect("valid config");
-    let fast = Simulation::new(cell_config(kind, scale, DrawEngineKind::Fast, DRAW_BOUND_CV))
-        .expect("valid config");
-    let run_reference = || reference.run_kind(kind).expect("valid system size");
-    let run_fast = || fast.run_kind(kind).expect("valid system size");
-    let (mut reference_report, mut fast_report) = (run_reference(), run_fast());
-    let (mut reference_min, mut fast_min) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let (s, r) = time_once(run_reference);
-        reference_min = reference_min.min(s);
-        reference_report = r;
-        let (s, r) = time_once(run_fast);
-        fast_min = fast_min.min(s);
-        fast_report = r;
-    }
-    let reference_rate = reference_report.events as f64 / reference_min;
-    let fast_rate = fast_report.events as f64 / fast_min;
-    DrawBoundTiming {
-        protocol: kind.to_string(),
-        reference_events: reference_report.events,
-        fast_events: fast_report.events,
-        reference_events_per_sec: reference_rate,
-        fast_events_per_sec: fast_rate,
-        fast_speedup: fast_rate / reference_rate,
-    }
+fn time_protocols(scale: Scale, reps: usize, engine: DrawEngineKind) -> Vec<ProtocolTiming> {
+    let cells: Vec<(ProtocolKind, Simulation)> = ProtocolKind::all()
+        .iter()
+        .map(|&kind| {
+            let sim = Simulation::new(cell_config(kind, scale, engine, 1.0)).expect("valid config");
+            (kind, sim)
+        })
+        .collect();
+    cells
+        .iter()
+        .zip(interleaved_minimums(&cells, reps))
+        .map(|((kind, _), (report, min))| ProtocolTiming {
+            protocol: kind.to_string(),
+            engine: engine.to_string(),
+            events: report.events,
+            arbitrations: report.arbitrations,
+            mono_min_seconds: min,
+            mono_events_per_sec: report.events as f64 / min,
+            mono_ns_per_arbitration: min * 1e9 / report.arbitrations as f64,
+            metrics: report.metrics,
+        })
+        .collect()
+}
+
+/// Times every protocol's CV = 0.1 (Erlang k = 100) cell under both
+/// engines. The two engines draw different interrequest streams, so
+/// event counts differ slightly; each rate uses its own count. A
+/// protocol's reference and fast runs sit next to each other in every
+/// round, so both see the same slice of machine noise.
+fn time_draw_bound(scale: Scale, reps: usize) -> Vec<DrawBoundTiming> {
+    let engines = [DrawEngineKind::Reference, DrawEngineKind::Fast];
+    let cells: Vec<(ProtocolKind, Simulation)> = ProtocolKind::all()
+        .iter()
+        .flat_map(|&kind| {
+            engines.map(|engine| {
+                let config = cell_config(kind, scale, engine, DRAW_BOUND_CV);
+                (kind, Simulation::new(config).expect("valid config"))
+            })
+        })
+        .collect();
+    let timed = interleaved_minimums(&cells, reps);
+    ProtocolKind::all()
+        .iter()
+        .zip(timed.chunks(engines.len()))
+        .map(|(kind, pair)| {
+            let ((reference, reference_min), (fast, fast_min)) = (&pair[0], &pair[1]);
+            let reference_rate = reference.events as f64 / reference_min;
+            let fast_rate = fast.events as f64 / fast_min;
+            DrawBoundTiming {
+                protocol: kind.to_string(),
+                reference_events: reference.events,
+                fast_events: fast.events,
+                reference_events_per_sec: reference_rate,
+                fast_events_per_sec: fast_rate,
+                fast_speedup: fast_rate / reference_rate,
+            }
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -430,8 +449,7 @@ fn main() -> ExitCode {
     };
     let mut timings = Vec::new();
     for &engine in &engines {
-        for &kind in ProtocolKind::all() {
-            let t = time_protocol(kind, args.scale, args.reps, engine);
+        for t in time_protocols(args.scale, args.reps, engine) {
             eprintln!(
                 "{:>14} ({:>9}): {:.4}s ({:.2}M events/s, {:.0} ns/arb)",
                 t.protocol,
@@ -445,20 +463,17 @@ fn main() -> ExitCode {
     }
 
     let draw_bound: Vec<DrawBoundTiming> = if args.engine.is_none() {
-        ProtocolKind::all()
-            .iter()
-            .map(|&kind| {
-                let t = time_draw_bound(kind, args.scale, args.reps);
-                eprintln!(
-                    "{:>14} (cv {DRAW_BOUND_CV}): reference {:.2}M events/s  fast {:.2}M  speedup {:.2}x",
-                    t.protocol,
-                    t.reference_events_per_sec / 1e6,
-                    t.fast_events_per_sec / 1e6,
-                    t.fast_speedup
-                );
-                t
-            })
-            .collect()
+        let draw_bound = time_draw_bound(args.scale, args.reps);
+        for t in &draw_bound {
+            eprintln!(
+                "{:>14} (cv {DRAW_BOUND_CV}): reference {:.2}M events/s  fast {:.2}M  speedup {:.2}x",
+                t.protocol,
+                t.reference_events_per_sec / 1e6,
+                t.fast_events_per_sec / 1e6,
+                t.fast_speedup
+            );
+        }
+        draw_bound
     } else {
         eprintln!("draw-bound comparison skipped (--engine restricts the run to one engine)");
         Vec::new()

@@ -114,16 +114,39 @@ impl NumberLayout {
     /// hardware-cost metric for each protocol.
     #[must_use]
     pub fn width(&self) -> u32 {
-        self.id_bits + self.counter_bits + u32::from(self.rr_bit) + u32::from(self.priority_bit)
+        self.id_bits
+            .saturating_add(self.counter_bits)
+            .saturating_add(u32::from(self.rr_bit) + u32::from(self.priority_bit))
     }
 
-    /// Largest storable counter value.
+    /// Checks that the layout fits the `u64` that [`NumberLayout::compose`]
+    /// packs it into. Constructors taking a caller-chosen counter width
+    /// run it, so every field shift stays below 64.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::LayoutTooWide`] if [`NumberLayout::width`] exceeds
+    /// 64 lines.
+    pub fn checked(self) -> Result<Self, Error> {
+        let width = self.width();
+        if width > u64::BITS {
+            Err(Error::LayoutTooWide {
+                width,
+                max: u64::BITS,
+            })
+        } else {
+            Ok(self)
+        }
+    }
+
+    /// Largest storable counter value (all ones for a field of 64 or more
+    /// lines, which [`NumberLayout::checked`] rejects).
     #[must_use]
     pub fn counter_max(&self) -> u64 {
-        if self.counter_bits == 0 {
-            0
-        } else {
-            (1u64 << self.counter_bits) - 1
+        match self.counter_bits {
+            0 => 0,
+            bits if bits >= u64::BITS => u64::MAX,
+            bits => (1u64 << bits) - 1,
         }
     }
 
@@ -392,6 +415,27 @@ mod tests {
         let layout = NumberLayout::for_agents(10).unwrap().with_counter_bits(4);
         assert_eq!(layout.counter_max(), 15);
         assert_eq!(NumberLayout::for_agents(10).unwrap().counter_max(), 0);
+        let full = NumberLayout::for_agents(10).unwrap().with_counter_bits(64);
+        assert_eq!(full.counter_max(), u64::MAX);
+    }
+
+    #[test]
+    fn checked_rejects_layouts_wider_than_the_composite_word() {
+        // 10 agents: 4 identity lines + priority bit leave 59 counter lines.
+        let base = NumberLayout::for_agents(10).unwrap().with_priority_bit();
+        let widest = base.with_counter_bits(59).checked().unwrap();
+        assert_eq!(widest.width(), 64);
+        assert_eq!(widest.counter_max(), (1u64 << 59) - 1);
+        for bits in [60, 64, u32::MAX] {
+            assert_eq!(
+                base.with_counter_bits(bits).checked(),
+                Err(Error::LayoutTooWide {
+                    width: (5u32).saturating_add(bits),
+                    max: 64
+                }),
+                "{bits} counter lines"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! switches back to FCFS to enjoy the lower waiting-time variance. A 2:1
 //! hysteresis between the two thresholds prevents oscillation.
 
+use busarb_bus::signal::CounterPolicy;
 use busarb_bus::NumberLayout;
-use busarb_types::{AgentId, AgentSet, Error, Priority, Time};
+use busarb_types::{AgentId, Error, Priority, Time};
 
-use crate::arbiter::{check_agent, validate_agents, Arbiter, Grant};
+use crate::arbiter::{check_agent, rr_pick, validate_agents, Arbiter, Grant};
+use crate::arrival::ArrivalGroups;
 
 /// The policy an [`AdaptiveArbiter`] is currently applying.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
@@ -157,26 +159,17 @@ impl TieRing {
 /// # }
 /// ```
 /// As in the FCFS and hybrid arbiters, outstanding requests live in
-/// identity-indexed planes: class membership is a pair of [`AgentSet`]
-/// masks and each waiting-time counter is derived from a global pulse
-/// epoch (the protocol admits one outstanding request per agent, which
-/// makes the derived counter exact).
+/// class masks with waiting-time counters derived from one pulse epoch
+/// (the protocol admits one outstanding request per agent, which makes
+/// the derived counter exact), grouped by arrival window oldest first:
+/// an FCFS-mode grant is the highest identity of the oldest group, an
+/// RR-mode grant a mask scan.
 #[derive(Clone, Debug)]
 pub struct AdaptiveArbiter {
     n: u32,
     config: AdaptiveConfig,
     layout: NumberLayout,
-    /// Agents with an outstanding ordinary-class request.
-    ordinary: AgentSet,
-    /// Agents with an outstanding urgent-class request.
-    urgent: AgentSet,
-    /// Pulse epoch observed when each agent's request arrived.
-    base: Box<[u64]>,
-    /// Injection sequence number of each agent's request (diagnostics).
-    seq: Box<[u64]>,
-    /// Count of counter-increment pulses since construction.
-    epoch: u64,
-    next_seq: u64,
+    requests: ArrivalGroups,
     last_pulse: Option<Time>,
     last_winner: u32,
     mode: AdaptiveMode,
@@ -212,12 +205,7 @@ impl AdaptiveArbiter {
             n,
             config,
             layout,
-            ordinary: AgentSet::new(),
-            urgent: AgentSet::new(),
-            base: vec![0; n as usize].into_boxed_slice(),
-            seq: vec![0; n as usize].into_boxed_slice(),
-            epoch: 0,
-            next_seq: 0,
+            requests: ArrivalGroups::new(n, CounterPolicy::Saturate, layout.counter_max(), false),
             last_pulse: None,
             last_winner: n + 1,
             mode: AdaptiveMode::Fcfs,
@@ -226,11 +214,18 @@ impl AdaptiveArbiter {
         })
     }
 
-    /// The derived waiting-time counter of an outstanding request: pulses
-    /// since arrival, saturated at the counter-line capacity.
-    #[inline]
-    fn counter_of(&self, agent: AgentId) -> u64 {
-        (self.epoch - self.base[agent.index()]).min(self.layout.counter_max())
+    /// The waiting-time counter of `agent`'s outstanding request — pulses
+    /// since its arrival, saturated at the counter-line capacity — if it
+    /// has one.
+    #[must_use]
+    pub fn counter(&self, agent: AgentId) -> Option<u64> {
+        self.requests.counter(agent)
+    }
+
+    /// Current contents of the replicated winner register.
+    #[must_use]
+    pub fn last_winner(&self) -> u32 {
+        self.last_winner
     }
 
     /// The policy currently in force.
@@ -264,23 +259,7 @@ impl AdaptiveArbiter {
     /// window, so a past pulse can never merge with a future arrival.
     #[doc(hidden)]
     pub fn verify_signature(&self, out: &mut Vec<u64>) {
-        // Emit outstanding requests in injection order by selection scan
-        // over the membership masks — quadratic in the (tiny) outstanding
-        // count, but free of scratch allocations.
-        let members = self.ordinary.union(self.urgent);
-        out.push(members.len() as u64);
-        let mut last: Option<u64> = None;
-        for _ in 0..members.len() {
-            let next = members
-                .iter()
-                .filter(|a| last.is_none_or(|l| self.seq[a.index()] > l))
-                .min_by_key(|a| self.seq[a.index()])
-                .expect("selection scan visits each member once");
-            out.push(u64::from(next.get()));
-            out.push(u64::from(self.urgent.contains(next) as u32));
-            out.push(self.counter_of(next));
-            last = Some(self.seq[next.index()]);
-        }
+        self.requests.push_signature(out);
         out.push(u64::from(self.last_winner));
         out.push(match self.mode {
             AdaptiveMode::Fcfs => 0,
@@ -333,7 +312,7 @@ impl Arbiter for AdaptiveArbiter {
     fn on_request(&mut self, now: Time, agent: AgentId, priority: Priority) {
         check_agent(agent, self.n);
         assert!(
-            !self.ordinary.contains(agent) && !self.urgent.contains(agent),
+            self.requests.class_of(agent).is_none(),
             "agent {agent} already has an outstanding request"
         );
         let tied = self
@@ -342,63 +321,25 @@ impl Arbiter for AdaptiveArbiter {
         if !tied {
             // One epoch bump stands in for incrementing every outstanding
             // counter; saturation is applied when the counter is read.
-            self.epoch += 1;
+            self.requests.pulse(priority);
             self.last_pulse = Some(now);
         }
         self.recent_ties.push(tied);
         self.update_mode();
-        match priority {
-            Priority::Urgent => self.urgent.insert(agent),
-            Priority::Ordinary => self.ordinary.insert(agent),
-        };
-        self.base[agent.index()] = self.epoch;
-        self.seq[agent.index()] = self.next_seq;
-        self.next_seq += 1;
+        self.requests.insert(agent, priority);
     }
 
     fn arbitrate(&mut self, _now: Time) -> Option<Grant> {
-        let (members, priority) = if !self.urgent.is_empty() {
-            (self.urgent, Priority::Urgent)
-        } else if !self.ordinary.is_empty() {
-            (self.ordinary, Priority::Ordinary)
-        } else {
-            return None;
-        };
+        let priority = self.requests.top_class()?;
         let winner = match self.mode {
-            AdaptiveMode::Fcfs => {
-                // Highest counter, ties to the highest identity: ascending
-                // scan with a non-strict compare.
-                let mut winner = None;
-                let mut best = 0u64;
-                for agent in members {
-                    let counter = self.counter_of(agent);
-                    if winner.is_none() || counter >= best {
-                        winner = Some(agent);
-                        best = counter;
-                    }
-                }
-                winner
-            }
-            AdaptiveMode::RoundRobin => {
-                // The RR scan is a pure mask operation: the highest
-                // identity strictly below the winner register, wrapping to
-                // the top when none is. The register always holds an
-                // identity (>= 1); `.ok()` folds a zero register into the
-                // wraparound branch instead of a hot-path panic.
-                if self.last_winner <= self.n {
-                    AgentId::new(self.last_winner)
-                        .ok()
-                        .and_then(|bound| members.max_below(bound))
-                        .or_else(|| members.max())
-                } else {
-                    members.max()
-                }
-            }
-        }?; // `members` is non-empty, so both scans find a winner.
-        match priority {
-            Priority::Urgent => self.urgent.remove(winner),
-            Priority::Ordinary => self.ordinary.remove(winner),
-        };
+            // Highest counter (the oldest arrival group), ties to the
+            // highest identity.
+            AdaptiveMode::Fcfs => self.requests.select(priority, u32::MAX),
+            // The RR scan is a pure mask operation: the highest identity
+            // below the winner register, wrapping to the top.
+            AdaptiveMode::RoundRobin => rr_pick(self.requests.members(priority), self.last_winner),
+        }?; // the top class is non-empty, so both picks find a winner.
+        self.requests.remove(winner, priority);
         self.last_winner = winner.get();
         Some(Grant {
             agent: winner,
@@ -408,7 +349,7 @@ impl Arbiter for AdaptiveArbiter {
     }
 
     fn pending(&self) -> usize {
-        self.ordinary.len() + self.urgent.len()
+        self.requests.len()
     }
 }
 

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use busarb_bus::NumberLayout;
-use busarb_types::{AgentId, Error, Priority, Time};
+use busarb_types::{AgentId, AgentSet, Error, Priority, Time};
 
 /// The outcome of one bus arbitration: who gets the bus next.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -310,6 +310,24 @@ pub(crate) fn validate_agents(n: u32) -> Result<(), Error> {
 /// Shared request-injection sanity checks.
 pub(crate) fn check_agent(agent: AgentId, n: u32) {
     assert!(agent.get() <= n, "agent {agent} exceeds system size {n}");
+}
+
+/// The round-robin scan over `set` from winner register `register`: the
+/// highest identity strictly below it, wrapping to the highest identity
+/// when none is. A register above every identity (the initial `N + 1`)
+/// starts the scan at the top. `None` only for an empty `set`.
+#[inline]
+pub(crate) fn rr_pick(set: AgentSet, register: u32) -> Option<AgentId> {
+    // A zero register cannot occur; `.ok()` folds it into the wraparound
+    // branch instead of a hot-path panic.
+    let below = if register > AgentSet::MAX_ID {
+        None
+    } else {
+        AgentId::new(register)
+            .ok()
+            .and_then(|bound| set.max_below(bound))
+    };
+    below.or_else(|| set.max())
 }
 
 #[cfg(test)]

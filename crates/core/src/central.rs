@@ -10,6 +10,7 @@
 //! equality of grant sequences is a meaningful cross-check (see the
 //! `equivalence` property tests).
 
+use core::cmp::Reverse;
 use std::collections::VecDeque;
 
 use busarb_types::{AgentId, Error, Priority, Time};
@@ -165,6 +166,15 @@ struct QueuedRequest {
     seq: u64,
 }
 
+impl QueuedRequest {
+    /// Service order within a class, smallest first: earliest arrival,
+    /// then highest identity, then injection order. Sequence numbers are
+    /// unique, so the order is total.
+    fn service_key(&self) -> (Time, Reverse<AgentId>, u64) {
+        (self.arrived, Reverse(self.agent), self.seq)
+    }
+}
+
 /// A central first-come first-serve arbiter: a literal arrival-ordered
 /// queue.
 ///
@@ -172,6 +182,10 @@ struct QueuedRequest {
 /// static-identity order, matching the distributed protocols' tie rule.
 /// Urgent requests form a separate queue served first (FCFS within the
 /// class).
+///
+/// Each class's queue is kept sorted in service order, so a grant pops
+/// the front. A request is inserted by walking back from the tail past
+/// requests it precedes — nothing, for the usual in-order arrival.
 ///
 /// Unlike the basic protocols, the central queue naturally supports
 /// multiple outstanding requests per agent.
@@ -194,7 +208,9 @@ struct QueuedRequest {
 #[derive(Clone, Debug)]
 pub struct CentralFcfs {
     n: u32,
-    queue: VecDeque<QueuedRequest>,
+    /// Queued requests per class (indexed by [`Priority::bit`]), each
+    /// sorted by [`QueuedRequest::service_key`].
+    queues: [VecDeque<QueuedRequest>; 2],
     next_seq: u64,
 }
 
@@ -208,44 +224,40 @@ impl CentralFcfs {
         validate_agents(n)?;
         Ok(CentralFcfs {
             n,
-            queue: VecDeque::new(),
+            queues: [VecDeque::new(), VecDeque::new()],
             next_seq: 0,
         })
+    }
+
+    /// Every queued request, in no particular order.
+    fn queued(&self) -> impl Iterator<Item = &QueuedRequest> {
+        self.queues[0].iter().chain(&self.queues[1])
     }
 
     /// Appends a normalized fingerprint of the arbitration-relevant state
     /// to `out`: queued requests in injection order with their class,
     /// identity, and arrival *rank* (absolute arrival times and sequence
     /// numbers grow without bound; only their relative order matters).
+    /// Injection order is recovered by a selection scan over the sequence
+    /// numbers — allocation-free and diagnostic-only.
     #[doc(hidden)]
     pub fn verify_signature(&self, out: &mut Vec<u64>) {
-        out.push(self.queue.len() as u64);
-        for r in &self.queue {
-            let rank = self.queue.iter().filter(|o| o.arrived < r.arrived).count();
+        out.push(self.pending() as u64);
+        let mut last: Option<u64> = None;
+        for _ in 0..self.pending() {
+            let Some(r) = self
+                .queued()
+                .filter(|r| last.is_none_or(|l| r.seq > l))
+                .min_by_key(|r| r.seq)
+            else {
+                break;
+            };
+            let rank = self.queued().filter(|o| o.arrived < r.arrived).count();
             out.push(u64::from(r.agent.get()));
             out.push(u64::from(r.priority.bit()));
             out.push(rank as u64);
+            last = Some(r.seq);
         }
-    }
-
-    /// Index of the next request to serve: earliest arrival in the highest
-    /// pending priority class, ties by descending identity, then by
-    /// injection order.
-    fn next_index(&self) -> Option<usize> {
-        let best = self
-            .queue
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| {
-                (
-                    r.priority,
-                    core::cmp::Reverse(r.arrived),
-                    r.agent,
-                    core::cmp::Reverse(r.seq),
-                )
-            })?
-            .0;
-        Some(best)
     }
 }
 
@@ -260,19 +272,26 @@ impl Arbiter for CentralFcfs {
 
     fn on_request(&mut self, now: Time, agent: AgentId, priority: Priority) {
         check_agent(agent, self.n);
-        self.queue.push_back(QueuedRequest {
+        let request = QueuedRequest {
             agent,
             arrived: now,
             priority,
             seq: self.next_seq,
-        });
+        };
         self.next_seq += 1;
+        let queue = &mut self.queues[priority.bit() as usize];
+        let key = request.service_key();
+        let at = queue
+            .iter()
+            .rposition(|r| r.service_key() < key)
+            .map_or(0, |i| i + 1);
+        queue.insert(at, request);
     }
 
     fn arbitrate(&mut self, _now: Time) -> Option<Grant> {
-        let idx = self.next_index()?;
-        // `next_index` returns an in-range index, so the remove succeeds.
-        let r = self.queue.remove(idx)?;
+        let [ordinary, urgent] = &mut self.queues;
+        let queue = if urgent.is_empty() { ordinary } else { urgent };
+        let r = queue.pop_front()?;
         Some(Grant {
             agent: r.agent,
             priority: r.priority,
@@ -281,7 +300,7 @@ impl Arbiter for CentralFcfs {
     }
 
     fn pending(&self) -> usize {
-        self.queue.len()
+        self.queues[0].len() + self.queues[1].len()
     }
 }
 

@@ -1,9 +1,11 @@
 //! The hybrid RR/FCFS protocol sketched in the paper's Section 5.
 
+use busarb_bus::signal::CounterPolicy;
 use busarb_bus::NumberLayout;
-use busarb_types::{AgentId, AgentSet, Error, Priority, Time};
+use busarb_types::{AgentId, Error, Priority, Time};
 
 use crate::arbiter::{check_agent, validate_agents, Arbiter, Grant};
+use crate::arrival::ArrivalGroups;
 
 /// A hybrid protocol: **FCFS across arrival windows, round-robin within a
 /// window**.
@@ -38,31 +40,19 @@ use crate::arbiter::{check_agent, validate_agents, Arbiter, Grant};
 /// # Ok(())
 /// # }
 /// ```
-/// Agent state lives in identity-indexed planes rather than a `Vec` of
-/// entry structs: class membership is a pair of [`AgentSet`] masks and the
-/// waiting-time counter is *derived* — a global pulse epoch minus the
-/// epoch recorded at arrival, saturated at the line capacity — so an
-/// `a-incr` pulse is one integer bump instead of a walk over every
-/// outstanding entry, and `arbitrate` scans set bits instead of a heap
-/// allocation. The hybrid protocol admits at most one outstanding request
-/// per agent, which is exactly the condition that makes the derived
-/// counter exact (see the FCFS planes for the argument).
+/// Outstanding requests live in arrival groups: class membership
+/// masks, waiting-time counters derived from one pulse epoch (saturating
+/// at the line capacity), and same-window arrivals grouped oldest first.
+/// The hybrid admits one outstanding request per agent, which makes the
+/// derived counter exact. While no counter has saturated the oldest group
+/// holds the unique largest counter, so a grant is the round-robin pick
+/// inside that group — `max_below(last_winner)`, else `max`.
 #[derive(Clone, Debug)]
 pub struct HybridRrFcfs {
     n: u32,
     layout: NumberLayout,
     tie_window: Time,
-    /// Agents with an outstanding ordinary-class request.
-    ordinary: AgentSet,
-    /// Agents with an outstanding urgent-class request.
-    urgent: AgentSet,
-    /// Pulse epoch observed when each agent's request arrived.
-    base: Box<[u64]>,
-    /// Injection sequence number of each agent's request (diagnostics).
-    seq: Box<[u64]>,
-    /// Count of `a-incr` pulses since construction.
-    epoch: u64,
-    next_seq: u64,
+    requests: ArrivalGroups,
     last_pulse: Option<Time>,
     last_winner: u32,
 }
@@ -100,22 +90,18 @@ impl HybridRrFcfs {
             n,
             layout,
             tie_window,
-            ordinary: AgentSet::new(),
-            urgent: AgentSet::new(),
-            base: vec![0; n as usize].into_boxed_slice(),
-            seq: vec![0; n as usize].into_boxed_slice(),
-            epoch: 0,
-            next_seq: 0,
+            requests: ArrivalGroups::new(n, CounterPolicy::Saturate, layout.counter_max(), false),
             last_pulse: None,
             last_winner: n + 1,
         })
     }
 
-    /// The derived waiting-time counter of an outstanding request: pulses
-    /// since arrival, saturated at the counter-line capacity.
-    #[inline]
-    fn counter_of(&self, agent: AgentId) -> u64 {
-        (self.epoch - self.base[agent.index()]).min(self.layout.counter_max())
+    /// The waiting-time counter of `agent`'s outstanding request — pulses
+    /// since its arrival, saturated at the counter-line capacity — if it
+    /// has one.
+    #[must_use]
+    pub fn counter(&self, agent: AgentId) -> Option<u64> {
+        self.requests.counter(agent)
     }
 
     /// Current contents of the replicated winner register.
@@ -132,23 +118,7 @@ impl HybridRrFcfs {
     /// pulse can never merge with a future arrival.
     #[doc(hidden)]
     pub fn verify_signature(&self, out: &mut Vec<u64>) {
-        // Emit outstanding requests in injection order by selection scan
-        // over the membership masks — quadratic in the (tiny) outstanding
-        // count, but free of scratch allocations.
-        let members = self.ordinary.union(self.urgent);
-        out.push(members.len() as u64);
-        let mut last: Option<u64> = None;
-        for _ in 0..members.len() {
-            let next = members
-                .iter()
-                .filter(|a| last.is_none_or(|l| self.seq[a.index()] > l))
-                .min_by_key(|a| self.seq[a.index()])
-                .expect("selection scan visits each member once");
-            out.push(u64::from(next.get()));
-            out.push(u64::from(self.urgent.contains(next) as u32));
-            out.push(self.counter_of(next));
-            last = Some(self.seq[next.index()]);
-        }
+        self.requests.push_signature(out);
         out.push(u64::from(self.last_winner));
     }
 }
@@ -169,51 +139,26 @@ impl Arbiter for HybridRrFcfs {
     fn on_request(&mut self, now: Time, agent: AgentId, priority: Priority) {
         check_agent(agent, self.n);
         assert!(
-            !self.ordinary.contains(agent) && !self.urgent.contains(agent),
+            self.requests.class_of(agent).is_none(),
             "agent {agent} already has an outstanding request"
         );
         let merged = self.last_pulse.is_some_and(|t| now - t <= self.tie_window);
         if !merged {
             // One epoch bump stands in for incrementing every outstanding
             // counter; saturation is applied when the counter is read.
-            self.epoch += 1;
+            self.requests.pulse(priority);
             self.last_pulse = Some(now);
         }
-        match priority {
-            Priority::Urgent => self.urgent.insert(agent),
-            Priority::Ordinary => self.ordinary.insert(agent),
-        };
-        self.base[agent.index()] = self.epoch;
-        self.seq[agent.index()] = self.next_seq;
-        self.next_seq += 1;
+        self.requests.insert(agent, priority);
     }
 
     fn arbitrate(&mut self, _now: Time) -> Option<Grant> {
-        let (members, priority) = if !self.urgent.is_empty() {
-            (self.urgent, Priority::Urgent)
-        } else if !self.ordinary.is_empty() {
-            (self.ordinary, Priority::Ordinary)
-        } else {
-            return None;
-        };
-        // Composite number compare [counter | rr bit | identity]: ascending
-        // identity scan with a non-strict compare makes the highest agent
-        // win exact (counter, rr) ties, matching the replicated logic.
-        let mut winner = None;
-        let mut best = (0u64, false);
-        for agent in members {
-            let key = (self.counter_of(agent), agent.get() < self.last_winner);
-            if winner.is_none() || key >= best {
-                winner = Some(agent);
-                best = key;
-            }
-        }
-        // `members` is non-empty, so the scan always finds a winner.
-        let winner = winner?;
-        match priority {
-            Priority::Urgent => self.urgent.remove(winner),
-            Priority::Ordinary => self.ordinary.remove(winner),
-        };
+        // Composite number compare [priority | counter | rr bit |
+        // identity]: the top class competes, the largest counter wins,
+        // and the rr bit then identity break ties.
+        let priority = self.requests.top_class()?;
+        let winner = self.requests.select(priority, self.last_winner)?;
+        self.requests.remove(winner, priority);
         self.last_winner = winner.get();
         Some(Grant {
             agent: winner,
@@ -223,7 +168,7 @@ impl Arbiter for HybridRrFcfs {
     }
 
     fn pending(&self) -> usize {
-        self.ordinary.len() + self.urgent.len()
+        self.requests.len()
     }
 }
 

@@ -49,6 +49,7 @@
 
 mod adaptive;
 mod arbiter;
+mod arrival;
 mod assured_access;
 mod central;
 mod fcfs;

@@ -17,20 +17,28 @@
 //! * every agent rewrites a k-bit register after **every** arbitration
 //!   ([`RotatingPriority::renumber_events`] counts the total register
 //!   writes), versus one latch of the winner identity in the static
-//!   scheme;
+//!   scheme. The count is the modelled hardware's activity, not work
+//!   the simulator does: every healthy register holds a closed form of
+//!   the last winner (`w - 1` highest, descending cyclically to `w`
+//!   lowest), so the model stores only that winner, renumbers with one
+//!   store, and selects with the static scheme's `max_below`/`max` mask
+//!   scan;
 //! * a stuck renumbering circuit permanently corrupts the priority
 //!   ordering (the robustness argument) — modeled by
 //!   [`RotatingPriority::inject_stuck_register`], which the
 //!   fault-injection tests use to show the divergence that the
 //!   static-identity protocol cannot suffer (its only dynamic state is
-//!   the broadcast winner identity, re-learned at every arbitration).
+//!   the broadcast winner identity, re-learned at every arbitration). A
+//!   stuck register keeps the value it held when the fault was injected;
+//!   selection falls back to comparing every competitor's dynamic number
+//!   while a stuck agent competes.
 //!
 //! [`DistributedRoundRobin`]: crate::DistributedRoundRobin
 
 use busarb_bus::NumberLayout;
 use busarb_types::{AgentId, AgentSet, Error, Priority, Time};
 
-use crate::arbiter::{check_agent, validate_agents, Arbiter, Grant};
+use crate::arbiter::{check_agent, rr_pick, validate_agents, Arbiter, Grant};
 
 /// Round-robin arbitration via dynamically rotated arbitration numbers.
 ///
@@ -56,10 +64,13 @@ use crate::arbiter::{check_agent, validate_agents, Arbiter, Grant};
 pub struct RotatingPriority {
     n: u32,
     layout: NumberLayout,
-    /// Current dynamic arbitration number of each agent (index by
-    /// `AgentId::index`). Higher wins. All values are distinct unless a
-    /// fault has been injected.
-    dynamic: Vec<u32>,
+    /// Identity of the last winner (`n + 1` before the first grant, which
+    /// gives agent `i` dynamic number `i`). Every register outside
+    /// `stuck` holds [`RotatingPriority::rotated`] of it.
+    last_winner: u32,
+    /// The value each stuck register froze at (indexed by
+    /// `AgentId::index`; read only for members of `stuck`).
+    frozen: Box<[u32]>,
     ordinary: AgentSet,
     urgent: AgentSet,
     renumber_events: u64,
@@ -78,7 +89,8 @@ impl RotatingPriority {
         Ok(RotatingPriority {
             n,
             layout: NumberLayout::for_agents(n)?.with_priority_bit(),
-            dynamic: (1..=n).collect(),
+            last_winner: n + 1,
+            frozen: vec![0; n as usize].into_boxed_slice(),
             ordinary: AgentSet::new(),
             urgent: AgentSet::new(),
             renumber_events: 0,
@@ -100,7 +112,24 @@ impl RotatingPriority {
     /// Panics if `agent` exceeds the system size.
     #[must_use]
     pub fn dynamic_number(&self, agent: AgentId) -> u32 {
-        self.dynamic[agent.index()]
+        // Indexed unconditionally: an identity beyond the system panics
+        // here rather than underflowing in `rotated`.
+        let frozen = self.frozen[agent.index()];
+        if self.stuck.contains(agent) {
+            frozen
+        } else {
+            self.rotated(agent)
+        }
+    }
+
+    /// A healthy register's value after the last winner `w` renumbered
+    /// the bus: `w - 1` gets N, `w - 2` gets N - 1, …, wrapping to `w`
+    /// itself with 1 — the next scan prefers `w - 1`, then `w - 2`, …
+    #[inline]
+    fn rotated(&self, agent: AgentId) -> u32 {
+        // `last_winner` is in 1..=n+1 and `agent` in 1..=n, so the
+        // difference cannot underflow.
+        self.n - (self.last_winner + self.n - 1 - agent.get()) % self.n
     }
 
     /// Fault injection: `agent`'s renumbering circuit sticks, so its
@@ -110,7 +139,10 @@ impl RotatingPriority {
     /// mechanism to resynchronize.
     pub fn inject_stuck_register(&mut self, agent: AgentId) {
         check_agent(agent, self.n);
-        self.stuck.insert(agent);
+        let value = self.dynamic_number(agent);
+        if self.stuck.insert(agent) {
+            self.frozen[agent.index()] = value;
+        }
     }
 
     /// Whether any injected fault has fired.
@@ -118,7 +150,7 @@ impl RotatingPriority {
     pub fn is_corrupted(&self) -> bool {
         // After a fault fires, numbers may collide.
         let mut seen = 0u128;
-        for &d in &self.dynamic {
+        for d in AgentId::all(self.n).map(|a| self.dynamic_number(a)) {
             let bit = 1u128 << (d % 128);
             if seen & bit != 0 {
                 return true;
@@ -136,31 +168,28 @@ impl RotatingPriority {
         busarb_types::fingerprint::push_set(out, self.ordinary);
         busarb_types::fingerprint::push_set(out, self.urgent);
         busarb_types::fingerprint::push_set(out, self.stuck);
-        out.extend(self.dynamic.iter().map(|&d| u64::from(d)));
+        out.extend(AgentId::all(self.n).map(|a| u64::from(self.dynamic_number(a))));
     }
 
-    /// Rotates every agent's dynamic number after `winner` wins: the
-    /// winner takes number 1 (lowest), and each agent's new number is its
-    /// cyclic distance from the winner.
+    /// Rotates every healthy agent's dynamic number after `winner` wins:
+    /// the winner takes number 1 (lowest), and each agent's new number is
+    /// its cyclic distance from the winner. The n - |stuck| register
+    /// writes are counted; the model itself stores only the winner.
     fn renumber(&mut self, winner: AgentId) {
-        let w = winner.get();
-        for agent in AgentId::all(self.n) {
-            if self.stuck.contains(agent) {
-                continue; // stuck register: keeps its stale value forever
-            }
-            // The next scan must prefer w-1, then w-2, ... wrapping to w
-            // itself last, so each agent's new number is inversely
-            // proportional to its downward cyclic distance from the
-            // winner: w-1 gets N, w-2 gets N-1, ..., w gets 1.
-            let a = agent.get();
-            let down_steps = (w + self.n - a - 1) % self.n + 1; // 1..=N; N for a == w
-            self.dynamic[agent.index()] = self.n + 1 - down_steps;
-            self.renumber_events += 1;
-        }
+        self.last_winner = winner.get();
+        self.renumber_events += u64::from(self.n) - self.stuck.len() as u64;
     }
 
+    /// The competitor in `set` with the highest dynamic number. Healthy
+    /// registers are distinct closed forms of the last winner, so their
+    /// maximum is the round-robin pick; a competing stuck register needs
+    /// the full compare (ties to the highest identity).
     fn select(&self, set: AgentSet) -> Option<AgentId> {
-        set.iter().max_by_key(|a| self.dynamic[a.index()])
+        if self.stuck.intersection(set).is_empty() {
+            rr_pick(set, self.last_winner)
+        } else {
+            set.iter().max_by_key(|&a| self.dynamic_number(a))
+        }
     }
 }
 

@@ -27,6 +27,8 @@
 //!   demonstrate the hazard; the default width makes collisions
 //!   impossible with one outstanding request per agent.
 
+use std::collections::VecDeque;
+
 use busarb_bus::NumberLayout;
 use busarb_types::{AgentId, AgentSet, Error, Priority, Time};
 
@@ -67,6 +69,14 @@ pub struct TicketFcfs {
     /// The ticket each holder drew, indexed by agent identity. Slots of
     /// agents outside `holders` are stale.
     tickets: Box<[u64]>,
+    /// Whether the holders, in draw order, hold the consecutive tickets
+    /// `serving, serving + 1, …` — true until a draw finds the ticket
+    /// space full (aliasing), and true again once the holders drain with
+    /// the dispenser and service counter in step.
+    in_order: bool,
+    /// The holders in draw order while `in_order` holds (capacity `n`,
+    /// allocated at construction); the front holds the served ticket.
+    order: VecDeque<AgentId>,
     urgent: AgentSet,
     dispenser_grants: u64,
 }
@@ -89,7 +99,9 @@ impl TicketFcfs {
     /// # Errors
     ///
     /// Returns [`Error::InvalidAgentCount`] for a bad `n`,
-    /// [`Error::ZeroCounterWidth`] for a zero width.
+    /// [`Error::ZeroCounterWidth`] for a zero width, and
+    /// [`Error::LayoutTooWide`] when the ticket field pushes the
+    /// arbitration number past 64 lines.
     pub fn with_ticket_bits(n: u32, ticket_bits: u32) -> Result<Self, Error> {
         validate_agents(n)?;
         if ticket_bits == 0 {
@@ -99,12 +111,15 @@ impl TicketFcfs {
             n,
             layout: NumberLayout::for_agents(n)?
                 .with_counter_bits(ticket_bits)
-                .with_priority_bit(),
+                .with_priority_bit()
+                .checked()?,
             ticket_bits,
             next_ticket: 0,
             serving: 0,
             holders: AgentSet::new(),
             tickets: vec![0; n as usize].into_boxed_slice(),
+            in_order: true,
+            order: VecDeque::with_capacity(n as usize),
             urgent: AgentSet::new(),
             dispenser_grants: 0,
         })
@@ -112,7 +127,8 @@ impl TicketFcfs {
 
     /// Size of the ticket space.
     fn ticket_space(&self) -> u64 {
-        1u64 << self.ticket_bits.min(63)
+        // The checked layout keeps `ticket_bits` below 64.
+        1u64 << self.ticket_bits
     }
 
     /// Total dispenser interactions — each one is an extra serialized
@@ -187,10 +203,22 @@ impl Arbiter for TicketFcfs {
             );
             return;
         }
+        let ahead = self.holders.len() as u64;
         assert!(
             self.holders.insert(agent),
             "agent {agent} already has an outstanding request"
         );
+        if ahead == 0 && self.serving == self.next_ticket {
+            self.in_order = true;
+            self.order.clear();
+        }
+        if ahead >= self.ticket_space() {
+            // The new ticket aliases an outstanding one.
+            self.in_order = false;
+        }
+        if self.in_order {
+            self.order.push_back(agent);
+        }
         // Draw a ticket. Each draw is a serialized dispenser interaction.
         self.tickets[agent.index()] = self.next_ticket;
         self.next_ticket = (self.next_ticket + 1) % self.ticket_space();
@@ -212,17 +240,23 @@ impl Arbiter for TicketFcfs {
             return None;
         }
         // Agents whose ticket matches the displayed service counter
-        // compete; a collision (ticket aliasing) resolves by the parallel
-        // contention lines, i.e. by static identity. The ascending scan's
-        // last match is exactly that highest identity.
-        let mut winner = None;
-        for agent in self.holders {
-            if self.tickets[agent.index()] == self.serving {
-                winner = Some(agent);
+        // compete. Without aliasing that is exactly the oldest holder.
+        // A collision resolves by the parallel contention lines, i.e. by
+        // static identity: the ascending scan's last match is that
+        // highest identity.
+        let winner = if self.in_order {
+            self.order.pop_front()
+        } else {
+            let mut winner = None;
+            for agent in self.holders {
+                if self.tickets[agent.index()] == self.serving {
+                    winner = Some(agent);
+                }
             }
-        }
+            winner
+        };
         // The oldest outstanding ordinary ticket always equals the
-        // service counter, so the scan finds a winner.
+        // service counter, so both paths find a winner.
         let winner = winner?;
         self.holders.remove(winner);
         self.serving = (self.serving + 1) % self.ticket_space();
@@ -349,6 +383,31 @@ mod tests {
         let g = t.arbitrate(Time::ZERO).unwrap();
         assert_eq!((g.agent, g.priority), (id(2), Priority::Urgent));
         assert_eq!(t.arbitrate(Time::ZERO).unwrap().agent, id(6));
+    }
+
+    #[test]
+    fn ticket_fields_past_the_composite_word_are_rejected() {
+        // 8 agents: 4 identity lines plus the priority bit leave 59
+        // ticket lines in a 64-bit arbitration number.
+        for bits in [60, 63, 64] {
+            assert_eq!(
+                TicketFcfs::with_ticket_bits(8, bits).unwrap_err(),
+                Error::LayoutTooWide {
+                    width: 5 + bits,
+                    max: 64
+                },
+                "{bits} ticket lines"
+            );
+        }
+        let mut t = TicketFcfs::with_ticket_bits(8, 59).unwrap();
+        assert_eq!(t.layout().unwrap().width(), 64);
+        for agent in [6, 2, 8] {
+            t.on_request(Time::ZERO, id(agent), Priority::Ordinary);
+        }
+        let order: Vec<u32> = (0..3)
+            .map(|_| t.arbitrate(Time::ZERO).unwrap().agent.get())
+            .collect();
+        assert_eq!(order, [6, 2, 8]);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! touch the heap.
 //!
 //! The plane-based arbiters keep all mutable state in fixed-size bit
-//! masks and per-agent slot arrays allocated at construction, so
-//! `on_request`, `arbitrate`, and the `verify_signature` fingerprint
-//! (which writes into a caller-reused buffer via an in-place selection
-//! scan) perform zero allocations once warm. The central-queue FCFS
-//! arbiter reaches the same steady state after its `VecDeque` grows to
-//! the saturated depth. This test pins both with a counting global
+//! masks and per-agent slot arrays allocated at construction (the
+//! arrival-group pool, the rotating arbiter's frozen-register slots, the
+//! ticket arbiter's draw-order ring), so `on_request`, `arbitrate`, and
+//! the `verify_signature` fingerprint (which writes into a caller-reused
+//! buffer via an in-place selection scan) perform zero allocations once
+//! warm — on the shortcut paths and on the exact fallbacks alike (narrow
+//! FCFS counters, an aliasing ticket dispenser, a stuck rotating
+//! register). The central-queue FCFS arbiter reaches the same steady
+//! state after its `VecDeque`s grow to the saturated depth. This test pins both with a counting global
 //! allocator; `cargo xtask lint` pins the same property structurally by
 //! scanning the hot function bodies for allocating constructs.
 //!
@@ -19,8 +22,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use busarb_core::{
-    AdaptiveArbiter, Arbiter, CentralFcfs, CentralRoundRobin, CounterStrategy, DistributedFcfs,
-    HybridRrFcfs, TicketFcfs,
+    AdaptiveArbiter, Arbiter, AssuredAccess, BatchingRule, CentralFcfs, CentralRoundRobin,
+    CounterPolicy, CounterStrategy, DistributedFcfs, DistributedRoundRobin, FcfsConfig,
+    FixedPriority, HybridRrFcfs, RotatingPriority, TicketFcfs,
 };
 use busarb_types::{AgentId, Priority, Time};
 
@@ -151,5 +155,69 @@ fn steady_state_arbitration_and_signatures_do_not_allocate() {
         steady_state_allocations(&mut ticket, n, TicketFcfs::verify_signature),
         0,
         "ticket-fcfs: steady-state arbitration allocated"
+    );
+
+    let mut rr = DistributedRoundRobin::new(n).expect("valid size");
+    assert_eq!(
+        steady_state_allocations(&mut rr, n, DistributedRoundRobin::verify_signature),
+        0,
+        "rr: steady-state arbitration allocated"
+    );
+
+    let mut fixed = FixedPriority::new(n).expect("valid size");
+    assert_eq!(
+        steady_state_allocations(&mut fixed, n, FixedPriority::verify_signature),
+        0,
+        "fixed-priority: steady-state arbitration allocated"
+    );
+
+    for (rule, name) in [
+        (BatchingRule::IdleBatch, "aap-1"),
+        (BatchingRule::FairnessRelease, "aap-2"),
+        (BatchingRule::ClosedBatch, "aap-2m"),
+    ] {
+        let mut aap = AssuredAccess::new(n, rule).expect("valid size");
+        assert_eq!(
+            steady_state_allocations(&mut aap, n, AssuredAccess::verify_signature),
+            0,
+            "{name}: steady-state arbitration allocated"
+        );
+    }
+
+    let mut rotating = RotatingPriority::new(n).expect("valid size");
+    assert_eq!(
+        steady_state_allocations(&mut rotating, n, RotatingPriority::verify_signature),
+        0,
+        "rotating-rr: steady-state arbitration allocated"
+    );
+
+    // The exact fallbacks: a stuck register competing in every scan, an
+    // FCFS counter too narrow for the waiting times, and a dispenser whose
+    // tickets alias.
+    let mut stuck = RotatingPriority::new(n).expect("valid size");
+    stuck.inject_stuck_register(AgentId::new(n).expect("valid id"));
+    assert_eq!(
+        steady_state_allocations(&mut stuck, n, RotatingPriority::verify_signature),
+        0,
+        "rotating-rr (stuck register): steady-state arbitration allocated"
+    );
+
+    let narrow = FcfsConfig {
+        counter_bits: 1,
+        policy: CounterPolicy::Saturate,
+        ..FcfsConfig::for_agents(n, CounterStrategy::PerArrival)
+    };
+    let mut narrow = DistributedFcfs::with_config(n, narrow).expect("valid config");
+    assert_eq!(
+        steady_state_allocations(&mut narrow, n, DistributedFcfs::verify_signature),
+        0,
+        "fcfs-2 (1-bit counter): steady-state arbitration allocated"
+    );
+
+    let mut aliased = TicketFcfs::with_ticket_bits(n, 2).expect("valid width");
+    assert_eq!(
+        steady_state_allocations(&mut aliased, n, TicketFcfs::verify_signature),
+        0,
+        "ticket-fcfs (2-bit dispenser): steady-state arbitration allocated"
     );
 }

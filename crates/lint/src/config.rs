@@ -101,6 +101,21 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         hot_roots.push(root(file, None, "arbitrate"));
         hot_roots.push(root(file, None, "on_request"));
     }
+    // The arrival-group bookkeeping behind the FCFS planes, hybrid, and
+    // adaptive arbiters, rooted directly so its purity does not hinge on
+    // by-name method resolution from the arbiters' call sites.
+    let arrival = "crates/core/src/arrival.rs";
+    for name in [
+        "insert",
+        "remove",
+        "select",
+        "pulse",
+        "top_class",
+        "class_of",
+    ] {
+        hot_roots.push(root(arrival, Some("ArrivalGroups"), name));
+    }
+    hot_roots.push(root("crates/core/src/arbiter.rs", None, "rr_pick"));
     // Every signal-level register system.
     for file in [
         "crates/bus/src/signal/rr1.rs",

@@ -52,6 +52,14 @@ pub enum Error {
     /// The maximum number of outstanding requests per agent must be at
     /// least one.
     ZeroOutstandingLimit,
+    /// An arbitration-number layout needs more bus lines than the
+    /// composite number's machine word holds.
+    LayoutTooWide {
+        /// Lines the layout needs.
+        width: u32,
+        /// The supported maximum.
+        max: u32,
+    },
     /// Batch-means analysis was configured with too few batches or samples.
     InvalidBatchConfig {
         /// Requested number of batches.
@@ -104,6 +112,9 @@ impl fmt::Display for Error {
             Error::ZeroOutstandingLimit => {
                 f.write_str("maximum outstanding requests per agent must be at least one")
             }
+            Error::LayoutTooWide { width, max } => {
+                write!(f, "arbitration number needs {width} lines, more than the supported {max}")
+            }
             Error::InvalidBatchConfig {
                 batches,
                 samples_per_batch,
@@ -142,6 +153,7 @@ mod tests {
             Error::InvalidLoad { load: 0.0 },
             Error::ZeroCounterWidth,
             Error::ZeroOutstandingLimit,
+            Error::LayoutTooWide { width: 65, max: 64 },
             Error::InvalidBatchConfig {
                 batches: 1,
                 samples_per_batch: 0,
