@@ -2,6 +2,10 @@
 
 use core::fmt;
 
+use busarb_types::Error;
+
+use crate::NumberLayout;
+
 /// How the arbitration lines resolve contention.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub enum LineDiscipline {
@@ -85,22 +89,45 @@ pub struct ParallelContention {
 const MAX_COMPETITORS: usize = 128;
 
 impl ParallelContention {
+    /// The most lines one arbiter models: the line mask `(1 << width) - 1`
+    /// must fit the `u64` the patterns travel in.
+    pub const MAX_WIDTH: u32 = 63;
+
     /// Creates an arbiter with `width` arbitration lines and full-broadcast
     /// discipline.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is 0 or exceeds 63.
+    /// Panics if `width` is 0 or exceeds [`ParallelContention::MAX_WIDTH`].
     #[must_use]
     pub fn new(width: u32) -> Self {
         assert!(
-            width > 0 && width < 64,
+            width > 0 && width <= Self::MAX_WIDTH,
             "arbitration width must be in 1..=63"
         );
         ParallelContention {
             width,
             discipline: LineDiscipline::FullBroadcast,
         }
+    }
+
+    /// Creates a full-broadcast arbiter with one line per bit of
+    /// `layout`, for systems whose layout takes a caller-chosen counter
+    /// width.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::LayoutTooWide`] if the layout needs more than
+    /// [`ParallelContention::MAX_WIDTH`] lines.
+    pub fn for_layout(layout: &NumberLayout) -> Result<Self, Error> {
+        let width = layout.width();
+        if width > Self::MAX_WIDTH {
+            return Err(Error::LayoutTooWide {
+                width,
+                max: Self::MAX_WIDTH,
+            });
+        }
+        Ok(Self::new(width))
     }
 
     /// Selects the line discipline.

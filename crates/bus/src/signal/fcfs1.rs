@@ -69,8 +69,10 @@ impl Fcfs1System {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidAgentCount`] for a bad `n` and
-    /// [`Error::ZeroCounterWidth`] if `counter_bits` is 0.
+    /// Returns [`Error::InvalidAgentCount`] for a bad `n`,
+    /// [`Error::ZeroCounterWidth`] if `counter_bits` is 0, and
+    /// [`Error::LayoutTooWide`] if the identity and counter fields need
+    /// more than [`ParallelContention::MAX_WIDTH`] lines.
     pub fn with_counter(n: u32, counter_bits: u32, policy: CounterPolicy) -> Result<Self, Error> {
         validate_agent_count(n)?;
         if counter_bits == 0 {
@@ -80,7 +82,7 @@ impl Fcfs1System {
         Ok(Fcfs1System {
             n,
             layout,
-            contention: ParallelContention::new(layout.width()),
+            contention: ParallelContention::for_layout(&layout)?,
             requesting: AgentSet::new(),
             counters: vec![0; n as usize],
             policy,
@@ -299,5 +301,23 @@ mod tests {
         let mut sys = Fcfs1System::new(2).unwrap();
         assert!(sys.arbitrate().is_none());
         assert_eq!(sys.pending(), 0);
+    }
+
+    #[test]
+    fn counter_fields_past_the_line_model_are_rejected() {
+        // 8 agents take 4 identity lines, so 59 counter lines fill all 63.
+        let mut widest = Fcfs1System::with_counter(8, 59, CounterPolicy::Wrap).unwrap();
+        assert_eq!(widest.layout.width(), 63);
+        widest.on_requests(&ids(&[1, 8]));
+        assert_eq!(widest.arbitrate().unwrap().winner, id(8));
+        for bits in [60, 64, u32::MAX] {
+            assert!(
+                matches!(
+                    Fcfs1System::with_counter(8, bits, CounterPolicy::Wrap),
+                    Err(Error::LayoutTooWide { max: 63, .. })
+                ),
+                "{bits} counter lines"
+            );
+        }
     }
 }

@@ -66,8 +66,10 @@ impl Fcfs2System {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidAgentCount`] for a bad `n` and
-    /// [`Error::ZeroCounterWidth`] if `counter_bits` is 0.
+    /// Returns [`Error::InvalidAgentCount`] for a bad `n`,
+    /// [`Error::ZeroCounterWidth`] if `counter_bits` is 0, and
+    /// [`Error::LayoutTooWide`] if the identity and counter fields need
+    /// more than [`ParallelContention::MAX_WIDTH`] lines.
     pub fn with_counter(n: u32, counter_bits: u32, policy: CounterPolicy) -> Result<Self, Error> {
         validate_agent_count(n)?;
         if counter_bits == 0 {
@@ -77,7 +79,7 @@ impl Fcfs2System {
         Ok(Fcfs2System {
             n,
             layout,
-            contention: ParallelContention::new(layout.width()),
+            contention: ParallelContention::for_layout(&layout)?,
             requesting: AgentSet::new(),
             counters: vec![0; n as usize],
             policy,
@@ -264,5 +266,23 @@ mod tests {
         assert_eq!(sys.counter(id(2)), 1);
         // Agent 2 now looks "older" than agent 1: order inverted by wrap.
         assert_eq!(sys.arbitrate().unwrap().winner, id(2));
+    }
+
+    #[test]
+    fn counter_fields_past_the_line_model_are_rejected() {
+        // 8 agents take 4 identity lines, so 59 counter lines fill all 63.
+        let mut widest = Fcfs2System::with_counter(8, 59, CounterPolicy::Wrap).unwrap();
+        assert_eq!(widest.layout.width(), 63);
+        widest.on_requests(&ids(&[1, 8]));
+        assert_eq!(widest.arbitrate().unwrap().winner, id(8));
+        for bits in [60, 64, u32::MAX] {
+            assert!(
+                matches!(
+                    Fcfs2System::with_counter(8, bits, CounterPolicy::Wrap),
+                    Err(Error::LayoutTooWide { max: 63, .. })
+                ),
+                "{bits} counter lines"
+            );
+        }
     }
 }

@@ -277,9 +277,6 @@ struct Runner<'c, A: Arbiter, E: DrawEngine, const W: usize> {
     /// instead of a 64-bit remainder.
     batch_countdown: usize,
     last_counted: Time,
-    events: u64,
-    grants: u64,
-    arbitrations: u64,
     trace: Trace,
     /// `true` when any trace consumer is attached (in-memory trace or
     /// write-through export) — one cached flag so the hot path pays a
@@ -288,9 +285,13 @@ struct Runner<'c, A: Arbiter, E: DrawEngine, const W: usize> {
     observing: bool,
     /// Write-through structured trace export, when configured.
     export: Option<Box<dyn TraceSink>>,
-    /// Always-on engine metrics (allocation-free on the hot path).
+    /// Always-on engine metrics (allocation-free on the hot path). Its
+    /// event, grant and arbitration totals are the report's.
     metrics: MetricsRegistry,
     per_agent_wait: Vec<Summary>,
+    /// Waits of ordinary-priority requests. Fed only under urgent
+    /// traffic: without it every sample is ordinary, and `finish` copies
+    /// `bm.overall()`, which received the same sequence.
     ordinary_wait: Summary,
     urgent_wait: Summary,
 }
@@ -343,9 +344,6 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
             warmup_end: Time::ZERO,
             batch_countdown: config.batches.samples_per_batch,
             last_counted: Time::ZERO,
-            events: 0,
-            grants: 0,
-            arbitrations: 0,
             trace: if config.trace_limit > 0 {
                 Trace::with_limit(config.trace_limit)
             } else {
@@ -405,7 +403,6 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
         let needed = self.config.warmup_samples + self.config.batches.total_samples();
         let max_events = 200 * needed as u64 + 10_000_000;
         while let Some((t, event)) = self.queue.pop() {
-            self.events += 1;
             self.metrics.on_event(t);
             match event {
                 Event::RequestArrival(agent) => self.on_generation(t, agent),
@@ -416,7 +413,7 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
                 break;
             }
             assert!(
-                self.events < max_events,
+                self.metrics.events() < max_events,
                 "event budget exceeded: protocol appears deadlocked"
             );
         }
@@ -476,8 +473,6 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
             .arbiter
             .arbitrate(t)
             .expect("pending requests imply a grant");
-        self.grants += 1;
-        self.arbitrations += u64::from(grant.arbitrations);
         self.metrics.on_grant(t, grant.arbitrations);
         let per_arbitration = match self.config.overhead_model {
             Some(model) => model.overhead(self.arbiter.layout().map(|l| l.width())),
@@ -604,7 +599,10 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
         self.per_agent_wait[agent.index()].record(wait);
         match priority {
             Priority::Urgent => self.urgent_wait.record(wait),
-            Priority::Ordinary => self.ordinary_wait.record(wait),
+            Priority::Ordinary if self.config.urgent_fraction > 0.0 => {
+                self.ordinary_wait.record(wait);
+            }
+            Priority::Ordinary => {}
         }
         if let Some(cdf) = &mut self.cdf {
             cdf.record(wait);
@@ -633,24 +631,29 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
         } else {
             0.0
         };
+        let metrics = self.metrics.snapshot();
         RunReport {
             protocol: self.arbiter.name().to_string(),
             mean_wait,
             wait_summary: *self.bm.overall(),
             wait_batch_means: self.bm.batch_means(),
             per_agent_wait: self.per_agent_wait,
-            ordinary_wait: self.ordinary_wait,
+            ordinary_wait: if self.config.urgent_fraction > 0.0 {
+                self.ordinary_wait
+            } else {
+                *self.bm.overall()
+            },
             urgent_wait: self.urgent_wait,
             tally: self.tally,
             utilization,
             cdf: self.cdf,
-            events: self.events,
-            grants: self.grants,
-            arbitrations: self.arbitrations,
+            events: metrics.events,
+            grants: metrics.grants,
+            arbitrations: metrics.arbitrations,
             end_time: self.last_counted,
             measured_time,
             trace: self.trace,
-            metrics: self.metrics.snapshot(),
+            metrics,
         }
     }
 }

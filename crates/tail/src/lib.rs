@@ -24,10 +24,12 @@
 //!   quantity: round-robin rotation-step occupancy, FCFS counter lag,
 //!   or assured-access bypass counts.
 //!
-//! Two front doors drive the pipeline: `busarb analyze FILE...` (one
-//! deterministic report per trace, text or JSON) and `repro inspect`
-//! (the experiments harness's cross-check, rewired onto this streaming
-//! path).
+//! `busarb analyze FILE...` drives the pipeline and prints one
+//! deterministic report per trace, text or JSON. `repro inspect` does
+//! not use it: the experiments harness's cross-check
+//! (`busarb_experiments::observe::inspect`) drives
+//! `busarb_obs::ReplayBuilder` over the trace directly, so it computes
+//! only the replay half of this crate's report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
