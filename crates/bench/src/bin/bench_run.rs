@@ -27,11 +27,13 @@
 //! end-to-end check that the binary runs, not a measurement.
 //!
 //! `--floor PATH` turns the run into a perf gate: after timing, each
-//! protocol's monomorphized events/sec is compared against the matching
-//! entry in the committed `BENCH_run.json` at PATH, and the process
-//! fails if any protocol lands more than [`FLOOR_DROP`] below its
-//! committed figure. Two mechanisms keep the comparison meaningful
-//! across machines and runner load:
+//! protocol's monomorphized events/sec per engine, and each protocol's
+//! draw-bound reference-engine events/sec (the only figure that covers
+//! the reference draw path, `StdRng` and exact `ln`, under load), is
+//! compared against the matching entry in the committed `BENCH_run.json`
+//! at PATH, and the process fails if any figure lands more than
+//! [`FLOOR_DROP`] below its committed counterpart. Two mechanisms keep
+//! the comparison meaningful across machines and runner load:
 //!
 //! - **Scale matching.** The gate refuses a floor file recorded at a
 //!   different scale: a Smoke cell finishes in well under a millisecond,
@@ -214,17 +216,38 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// One committed floor entry: `(protocol, engine, mono events/sec)`.
-type FloorRate = (String, String, f64);
+/// One gated throughput figure: `(label, events/sec)`. The label names
+/// the protocol and the engine, e.g. `rr (reference)`; draw-bound rows
+/// carry a `, draw-bound` suffix, so each figure is only ever compared
+/// with its own committed counterpart.
+type FloorRate = (String, f64);
 
-/// Committed per-(protocol, engine) events/sec figures pulled out of a
-/// `BENCH_run.json`, after checking the file was recorded at `scale`
-/// (cross-scale throughput is not comparable — see the module docs).
-/// Only `scale`, `timings[].protocol`, `timings[].engine`, and
-/// `timings[].mono_events_per_sec` are read; every other field
-/// (metrics, derived figures) is ignored. Floor files written before
-/// the engine dimension existed lack the `engine` field; those entries
-/// are treated as reference-engine figures.
+fn floor_label(protocol: &str, engine: &str, draw_bound: bool) -> String {
+    if draw_bound {
+        format!("{protocol} ({engine}, draw-bound)")
+    } else {
+        format!("{protocol} ({engine})")
+    }
+}
+
+/// Reads `entry[field]` as a number, naming the entry when it is absent.
+fn rate_field(entry: &serde::Value, protocol: &str, field: &str) -> Result<f64, String> {
+    entry
+        .get(field)
+        .and_then(serde::Value::as_f64)
+        .ok_or_else(|| format!("floor entry {protocol} lacks {field}"))
+}
+
+/// Committed events/sec figures pulled out of a `BENCH_run.json`, after
+/// checking the file was recorded at `scale` (cross-scale throughput is
+/// not comparable — see the module docs). Read are `scale`,
+/// `calibration_ops_per_sec`, each `timings[]` entry's `protocol`,
+/// `engine` and `mono_events_per_sec`, and each `draw_bound[]` entry's
+/// `protocol` and `reference_events_per_sec`; every other field
+/// (metrics, derived figures, the fast engine's draw-bound rate) is
+/// ignored. Floor files written before the engine dimension existed lack
+/// the `engine` field; those entries are treated as reference-engine
+/// figures. Files without a `draw_bound` section gate no draw-bound row.
 fn load_floor(path: &std::path::Path, scale: Scale) -> Result<(f64, Vec<FloorRate>), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read floor file {}: {e}", path.display()))?;
@@ -254,33 +277,42 @@ fn load_floor(path: &std::path::Path, scale: Scale) -> Result<(f64, Vec<FloorRat
         .get("timings")
         .and_then(serde::Value::as_array)
         .ok_or_else(|| format!("floor file {} has no timings array", path.display()))?;
-    let rates = timings
-        .iter()
-        .map(|entry| {
-            let protocol = entry
-                .get("protocol")
-                .and_then(serde::Value::as_str)
-                .ok_or_else(|| "floor timing entry lacks a protocol name".to_string())?;
-            let engine = entry
-                .get("engine")
-                .and_then(serde::Value::as_str)
-                .unwrap_or("reference");
-            let rate = entry
-                .get("mono_events_per_sec")
-                .and_then(serde::Value::as_f64)
-                .ok_or_else(|| format!("floor entry {protocol} lacks mono_events_per_sec"))?;
-            Ok((protocol.to_string(), engine.to_string(), rate))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let draw_bound = floor
+        .get("draw_bound")
+        .and_then(serde::Value::as_array)
+        .unwrap_or(&[]);
+    let protocol = |entry: &serde::Value| {
+        entry
+            .get("protocol")
+            .and_then(serde::Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| "floor entry lacks a protocol name".to_string())
+    };
+    let mut rates = Vec::with_capacity(timings.len() + draw_bound.len());
+    for entry in timings {
+        let protocol = protocol(entry)?;
+        let engine = entry
+            .get("engine")
+            .and_then(serde::Value::as_str)
+            .unwrap_or("reference");
+        let rate = rate_field(entry, &protocol, "mono_events_per_sec")?;
+        rates.push((floor_label(&protocol, engine, false), rate));
+    }
+    for entry in draw_bound {
+        let protocol = protocol(entry)?;
+        let rate = rate_field(entry, &protocol, "reference_events_per_sec")?;
+        rates.push((floor_label(&protocol, "reference", true), rate));
+    }
     Ok((calibration, rates))
 }
 
-/// Compares measured per-protocol throughput against the committed
-/// figures at `path`. Returns the list of violations (empty = pass).
-/// Protocols missing from the floor file are reported but not failed,
+/// Compares measured throughput against the committed figures at `path`:
+/// every protocol's mono events/sec per engine, and every draw-bound
+/// reference-engine events/sec. Returns the list of violations (empty =
+/// pass). Rows missing from the floor file are reported but not failed,
 /// so adding a protocol does not require regenerating the floor first.
 fn check_floor(
-    timings: &[ProtocolTiming],
+    measured: &[FloorRate],
     path: &std::path::Path,
     scale: Scale,
     calibration: f64,
@@ -295,36 +327,27 @@ fn check_floor(
         committed_calibration / 1e9
     );
     let mut violations = Vec::new();
-    for t in timings {
-        let Some((_, _, committed)) = floor
-            .iter()
-            .find(|(name, engine, _)| *name == t.protocol && *engine == t.engine)
-        else {
+    for (label, rate) in measured {
+        let Some((_, committed)) = floor.iter().find(|(name, _)| name == label) else {
             eprintln!(
-                "perf floor: {} ({}) absent from {}, skipped",
-                t.protocol,
-                t.engine,
+                "perf floor: {label} absent from {}, skipped",
                 path.display()
             );
             continue;
         };
         let limit = committed * speed * (1.0 - FLOOR_DROP);
-        if t.mono_events_per_sec < limit {
+        if *rate < limit {
             violations.push(format!(
-                "{} ({}): {:.2}M events/s is below the floor of {:.2}M (committed {:.2}M - {:.0}%)",
-                t.protocol,
-                t.engine,
-                t.mono_events_per_sec / 1e6,
+                "{label}: {:.2}M events/s is below the floor of {:.2}M (committed {:.2}M - {:.0}%)",
+                rate / 1e6,
                 limit / 1e6,
                 committed / 1e6,
                 FLOOR_DROP * 100.0
             ));
         } else {
             eprintln!(
-                "perf floor: {:>14} ({:>9}) ok ({:.2}M >= {:.2}M)",
-                t.protocol,
-                t.engine,
-                t.mono_events_per_sec / 1e6,
+                "perf floor: {label:>36} ok ({:.2}M >= {:.2}M)",
+                rate / 1e6,
                 limit / 1e6
             );
         }
@@ -480,10 +503,25 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &args.floor {
-        match check_floor(&timings, path, args.scale, calibration) {
+        let measured: Vec<FloorRate> = timings
+            .iter()
+            .map(|t| {
+                (
+                    floor_label(&t.protocol, &t.engine, false),
+                    t.mono_events_per_sec,
+                )
+            })
+            .chain(draw_bound.iter().map(|t| {
+                (
+                    floor_label(&t.protocol, "reference", true),
+                    t.reference_events_per_sec,
+                )
+            }))
+            .collect();
+        match check_floor(&measured, path, args.scale, calibration) {
             Ok(violations) if violations.is_empty() => {
                 eprintln!(
-                    "perf floor: all protocols within {:.0}% of committed figures",
+                    "perf floor: all gated figures within {:.0}% of committed figures",
                     FLOOR_DROP * 100.0
                 );
             }
@@ -525,5 +563,44 @@ fn main() -> ExitCode {
             eprintln!("error: cannot serialize report: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn floor_gates_the_draw_bound_reference_rate() {
+        let floor = r#"{
+            "scale": "quick",
+            "calibration_ops_per_sec": 1.0e9,
+            "timings": [
+                {"protocol": "rr", "engine": "reference", "mono_events_per_sec": 1.0e7},
+                {"protocol": "rr", "engine": "fast", "mono_events_per_sec": 1.0e7}
+            ],
+            "draw_bound": [
+                {"protocol": "rr", "reference_events_per_sec": 2.0e6, "fast_events_per_sec": 2.0e7}
+            ]
+        }"#;
+        let path =
+            std::env::temp_dir().join(format!("bench_run_floor_{}.json", std::process::id()));
+        std::fs::write(&path, floor).expect("temp file is writable");
+        let measured = [
+            (floor_label("rr", "reference", false), 9.0e6),
+            (floor_label("rr", "fast", false), 9.0e6),
+            (floor_label("rr", "reference", true), 1.0e6),
+            (floor_label("fcfs-1", "reference", true), 1.0),
+        ];
+        let violations = check_floor(&measured, &path, Scale::Quick, 1.0e9);
+        std::fs::remove_file(&path).expect("temp file is removable");
+        let violations = violations.expect("floor file parses");
+        // Only rr's draw-bound rate is below 75% of its committed figure;
+        // fcfs-1 has no committed draw-bound row and is skipped.
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("rr (reference, draw-bound)"),
+            "{violations:?}"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //!                      (default: rr)
 //!   --agents N         system size (default 10)
 //!   --load X           total offered load (default 2.0)
-//!   --cv C             interrequest-time CV in [0, 1] (default 1.0)
+//!   --cv C             interrequest-time CV: 0, or in [0.01, 1] (default 1.0)
 //!   --samples S        samples per batch, 10 batches (default 2000)
 //!   --seed S           PRNG seed (default 1)
 //!   --engine E         workload draw engine: reference | fast

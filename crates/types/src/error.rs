@@ -37,6 +37,15 @@ pub enum Error {
         /// The requested coefficient of variation.
         cv: f64,
     },
+    /// A coefficient of variation so small that its Erlang shape
+    /// `round(1/CV²)` exceeds the supported maximum: each draw costs one
+    /// uniform per stage, so an unbounded shape makes sampling unbounded.
+    CvTooSmall {
+        /// The requested coefficient of variation.
+        cv: f64,
+        /// The largest supported Erlang shape.
+        max_shape: u32,
+    },
     /// A non-positive or non-finite mean was given for a distribution.
     InvalidMean {
         /// The requested mean.
@@ -100,6 +109,11 @@ impl fmt::Display for Error {
             Error::InvalidCv { cv } => {
                 write!(f, "coefficient of variation {cv} outside supported range [0, 1]")
             }
+            Error::CvTooSmall { cv, max_shape } => write!(
+                f,
+                "coefficient of variation {cv} needs an Erlang shape above the supported \
+                 maximum {max_shape} (use 0 for deterministic times)"
+            ),
             Error::InvalidMean { mean } => {
                 write!(f, "distribution mean {mean} must be positive and finite")
             }
@@ -149,6 +163,10 @@ mod tests {
             },
             Error::AgentOutOfRange { id: 11, agents: 10 },
             Error::InvalidCv { cv: 2.0 },
+            Error::CvTooSmall {
+                cv: 1e-9,
+                max_shape: 10_000,
+            },
             Error::InvalidMean { mean: -1.0 },
             Error::InvalidLoad { load: 0.0 },
             Error::ZeroCounterWidth,

@@ -6,6 +6,11 @@ use std::sync::Arc;
 use busarb_types::{Error, Time};
 use rand::Rng;
 
+/// Largest Erlang shape [`InterrequestTime::from_mean_cv`] accepts: CV
+/// 0.01. The reference sampler draws one uniform per stage, so the shape
+/// bounds the cost of a draw; the paper's smallest CV, 0.1, needs 100.
+pub const MAX_ERLANG_SHAPE: u32 = 10_000;
+
 /// An interrequest-time distribution, parameterized by mean and coefficient
 /// of variation (CV = standard deviation / mean), following Section 4.1 of
 /// the paper:
@@ -74,7 +79,7 @@ impl InterrequestTime {
     ///
     /// For 0 < CV < 1 the Erlang shape is `round(1/CV²)` clamped to ≥ 2;
     /// the *achieved* CV is `1/sqrt(shape)` and can be read back with
-    /// [`Self::cv`].
+    /// [`Self::cv`]. The shape is at most [`MAX_ERLANG_SHAPE`].
     ///
     /// # Errors
     ///
@@ -82,6 +87,8 @@ impl InterrequestTime {
     ///   (except that a zero mean is allowed for CV = 0, meaning the agent
     ///   re-requests immediately).
     /// * [`Error::InvalidCv`] if `cv` is outside `[0, 1]`.
+    /// * [`Error::CvTooSmall`] if `cv` is positive but its Erlang shape
+    ///   exceeds [`MAX_ERLANG_SHAPE`] (CV below about 0.01).
     pub fn from_mean_cv(mean: f64, cv: f64) -> Result<Self, Error> {
         if !(0.0..=1.0).contains(&cv) || !cv.is_finite() {
             return Err(Error::InvalidCv { cv });
@@ -94,8 +101,17 @@ impl InterrequestTime {
         } else if cv == 1.0 {
             Ok(InterrequestTime::Exponential { mean })
         } else {
-            let shape = (1.0 / (cv * cv)).round().max(2.0) as u32;
-            Ok(InterrequestTime::Erlang { mean, shape })
+            let shape = (1.0 / (cv * cv)).round().max(2.0);
+            if shape > f64::from(MAX_ERLANG_SHAPE) {
+                return Err(Error::CvTooSmall {
+                    cv,
+                    max_shape: MAX_ERLANG_SHAPE,
+                });
+            }
+            Ok(InterrequestTime::Erlang {
+                mean,
+                shape: shape as u32,
+            })
         }
     }
 
@@ -259,6 +275,30 @@ mod tests {
                 }
                 other => panic!("expected Erlang for cv={cv}, got {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn tiny_cvs_are_rejected_not_sampled_forever() {
+        // round(1/CV²) saturated to u32::MAX before the cap, and every
+        // reference draw then looped over ~4.3e9 stages.
+        for cv in [1e-3, 1e-9, 1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(
+                InterrequestTime::from_mean_cv(1.0, cv),
+                Err(Error::CvTooSmall {
+                    cv,
+                    max_shape: MAX_ERLANG_SHAPE
+                }),
+                "cv={cv}"
+            );
+        }
+        // The cap itself and Table 4.5's CV 0.1 stay Erlang.
+        for (cv, shape) in [(0.01, MAX_ERLANG_SHAPE), (0.1, 100)] {
+            assert_eq!(
+                InterrequestTime::from_mean_cv(1.0, cv),
+                Ok(InterrequestTime::Erlang { mean: 1.0, shape }),
+                "cv={cv}"
+            );
         }
     }
 

@@ -498,6 +498,24 @@ mod tests {
 
     #[test]
     fn reference_engine_matches_the_historical_draw_stream() {
+        // Literal bits at seed 99, recorded from the pre-engine sampler
+        // and the scalar ChaCha12 kernel: an exponential think time, an
+        // Erlang k = 100 think time (100 uniforms, four buffer refills),
+        // and the uniform drawn after each.
+        let agent = AgentId::new(1).expect("valid identity");
+        for (cv, think_bits, uniform_bits) in [
+            (1.0, 0x3fef_edcd_9627_f1db_u64, 0x3fe6_526a_3ed8_2ecd_u64),
+            (0.1, 0x3ff2_5338_baf1_f0a1, 0x3fd3_05df_29e5_1990),
+        ] {
+            let mut engine = ReferenceEngine::for_scenario(99, &scenario(4, cv));
+            assert_eq!(
+                engine.think_time(agent).as_f64().to_bits(),
+                think_bits,
+                "cv {cv}"
+            );
+            assert_eq!(engine.uniform(agent).to_bits(), uniform_bits, "cv {cv}");
+        }
+
         // The engine must be a transparent refactor of the old runner
         // code: same StdRng, same sample calls, same interleaving.
         let s = scenario(4, 1.0);

@@ -39,7 +39,7 @@ mod scenario;
 pub mod trace;
 
 pub use busarb_mem::CoherenceConfig;
-pub use distribution::InterrequestTime;
+pub use distribution::{InterrequestTime, MAX_ERLANG_SHAPE};
 pub use engine::{DrawEngine, DrawEngineKind, FastEngine, ReferenceEngine, BATCH};
 pub use scenario::{AgentWorkload, Scenario};
 pub use trace::BurstyTrace;

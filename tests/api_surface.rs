@@ -161,6 +161,7 @@ fn error_paths_are_well_formed() {
         Scenario::equal_load(0, 1.0, 1.0).unwrap_err(),
         Scenario::equal_load(4, 9.0, 1.0).unwrap_err(),
         InterrequestTime::from_mean_cv(1.0, 2.0).unwrap_err(),
+        InterrequestTime::from_mean_cv(1.0, 1e-9).unwrap_err(),
         InterrequestTime::from_trace(Vec::new()).unwrap_err(),
         load::mean_interrequest(0.0).unwrap_err(),
         DistributedFcfs::with_config(
