@@ -56,8 +56,8 @@ use std::time::Instant;
 
 use busarb_core::ProtocolKind;
 use busarb_experiments::common::seed_for;
-use busarb_obs::MetricsSnapshot;
 use busarb_experiments::Scale;
+use busarb_obs::MetricsSnapshot;
 use busarb_sim::{RunReport, Simulation, SystemConfig};
 use busarb_workload::{DrawEngineKind, Scenario};
 use serde::Serialize;
@@ -195,10 +195,9 @@ fn parse_args() -> Result<Args, String> {
                 let value = args.next().ok_or("--engine needs a value")?;
                 engine = match value.as_str() {
                     "both" => None,
-                    other => Some(
-                        DrawEngineKind::parse(other)
-                            .ok_or_else(|| format!("unknown engine '{other}' (reference|fast|both)"))?,
-                    ),
+                    other => Some(DrawEngineKind::parse(other).ok_or_else(|| {
+                        format!("unknown engine '{other}' (reference|fast|both)")
+                    })?),
                 };
             }
             other => return Err(format!("unexpected argument '{other}'")),
@@ -375,12 +374,16 @@ fn time_once(f: impl FnOnce() -> RunReport) -> (f64, RunReport) {
 /// each cell once in turn; returns each cell's last report and minimum
 /// wall-clock. Taking turns spreads a burst of host noise over all the
 /// cells instead of sinking every rep of one.
-fn interleaved_minimums(cells: &[(ProtocolKind, Simulation)], reps: usize) -> Vec<(RunReport, f64)> {
-    let run = |(kind, sim): &(ProtocolKind, Simulation)| {
-        sim.run_kind(*kind).expect("valid system size")
-    };
-    let mut timed: Vec<(RunReport, f64)> =
-        cells.iter().map(|cell| (run(cell), f64::INFINITY)).collect();
+fn interleaved_minimums(
+    cells: &[(ProtocolKind, Simulation)],
+    reps: usize,
+) -> Vec<(RunReport, f64)> {
+    let run =
+        |(kind, sim): &(ProtocolKind, Simulation)| sim.run_kind(*kind).expect("valid system size");
+    let mut timed: Vec<(RunReport, f64)> = cells
+        .iter()
+        .map(|cell| (run(cell), f64::INFINITY))
+        .collect();
     for _ in 0..reps {
         for (cell, (report, min)) in cells.iter().zip(&mut timed) {
             let (s, r) = time_once(|| run(cell));

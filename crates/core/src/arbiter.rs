@@ -288,10 +288,13 @@ impl core::str::FromStr for ProtocolKind {
     /// lists the valid slugs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let all = ProtocolKind::all();
-        all.iter().copied().find(|kind| kind.slug() == s).ok_or_else(|| {
-            let slugs: Vec<&str> = all.iter().map(|kind| kind.slug()).collect();
-            format!("unknown protocol '{s}' ({})", slugs.join("|"))
-        })
+        all.iter()
+            .copied()
+            .find(|kind| kind.slug() == s)
+            .ok_or_else(|| {
+                let slugs: Vec<&str> = all.iter().map(|kind| kind.slug()).collect();
+                format!("unknown protocol '{s}' ({})", slugs.join("|"))
+            })
     }
 }
 

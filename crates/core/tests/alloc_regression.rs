@@ -81,11 +81,17 @@ fn steady_state_allocations<A: Arbiter>(
     let mut signature = Vec::new();
     for a in 1..=n {
         clock += 1.0;
-        arbiter.on_request(Time::from(clock), AgentId::new(a).expect("valid id"), Priority::Ordinary);
+        arbiter.on_request(
+            Time::from(clock),
+            AgentId::new(a).expect("valid id"),
+            Priority::Ordinary,
+        );
     }
     for _ in 0..4 * n {
         clock += 1.0;
-        let grant = arbiter.arbitrate(Time::from(clock)).expect("saturated arbiter grants");
+        let grant = arbiter
+            .arbitrate(Time::from(clock))
+            .expect("saturated arbiter grants");
         clock += 1.0;
         arbiter.on_request(Time::from(clock), grant.agent, Priority::Ordinary);
         signature.clear();
@@ -94,7 +100,9 @@ fn steady_state_allocations<A: Arbiter>(
     steady_allocations_in(|| {
         for _ in 0..256 {
             clock += 1.0;
-            let grant = arbiter.arbitrate(Time::from(clock)).expect("saturated arbiter grants");
+            let grant = arbiter
+                .arbitrate(Time::from(clock))
+                .expect("saturated arbiter grants");
             clock += 1.0;
             arbiter.on_request(Time::from(clock), grant.agent, Priority::Ordinary);
             signature.clear();

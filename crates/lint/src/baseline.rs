@@ -66,7 +66,9 @@ impl Baseline {
                     .get(name)
                     .and_then(Value::as_str)
                     .map(str::to_string)
-                    .ok_or(format!("baseline: suppression #{i} missing string `{name}`"))
+                    .ok_or(format!(
+                        "baseline: suppression #{i} missing string `{name}`"
+                    ))
             };
             suppressions.push(Suppression {
                 check: field("check")?,
@@ -162,7 +164,11 @@ mod tests {
 
         // The matching finding is suppressed, the other stays open.
         let (open, suppressed) = b.apply(vec![
-            finding("hot-panic", "crates/sim/src/event.rs", "CalendarQueue::schedule"),
+            finding(
+                "hot-panic",
+                "crates/sim/src/event.rs",
+                "CalendarQueue::schedule",
+            ),
             finding("hot-alloc", "crates/core/src/fcfs.rs", "arbitrate"),
         ]);
         assert_eq!(suppressed.len(), 1);

@@ -61,15 +61,39 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         root("crates/sim/src/event.rs", None, "pop"),
         root("crates/sim/src/event.rs", None, "peek_time"),
         // Draw engines: per-event think times and uniforms.
-        root("crates/workload/src/engine.rs", Some("ReferenceEngine"), "think_time"),
-        root("crates/workload/src/engine.rs", Some("ReferenceEngine"), "uniform"),
-        root("crates/workload/src/engine.rs", Some("FastEngine"), "think_time"),
-        root("crates/workload/src/engine.rs", Some("FastEngine"), "uniform"),
-        root("crates/workload/src/engine.rs", Some("AgentStream"), "refill"),
+        root(
+            "crates/workload/src/engine.rs",
+            Some("ReferenceEngine"),
+            "think_time",
+        ),
+        root(
+            "crates/workload/src/engine.rs",
+            Some("ReferenceEngine"),
+            "uniform",
+        ),
+        root(
+            "crates/workload/src/engine.rs",
+            Some("FastEngine"),
+            "think_time",
+        ),
+        root(
+            "crates/workload/src/engine.rs",
+            Some("FastEngine"),
+            "uniform",
+        ),
+        root(
+            "crates/workload/src/engine.rs",
+            Some("AgentStream"),
+            "refill",
+        ),
         // Closed-loop MESI model: miss classification on every grant
         // completion, and the reference-stream scan that enqueues the
         // next miss.
-        root("crates/mem/src/lib.rs", Some("CoherenceSystem"), "next_miss"),
+        root(
+            "crates/mem/src/lib.rs",
+            Some("CoherenceSystem"),
+            "next_miss",
+        ),
         root("crates/mem/src/lib.rs", Some("CoherenceSystem"), "complete"),
         // Always-on metrics registry, updated on every transition.
         root("crates/obs/src/registry.rs", None, "on_event"),
@@ -127,7 +151,11 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
     ] {
         hot_roots.push(root(file, None, "arbitrate"));
     }
-    hot_roots.push(root("crates/bus/src/signal/rr3.rs", None, "arbitrate_below"));
+    hot_roots.push(root(
+        "crates/bus/src/signal/rr3.rs",
+        None,
+        "arbitrate_below",
+    ));
 
     Config {
         enum_name: "ProtocolKind".to_string(),
@@ -156,11 +184,31 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         // reference engine deliberately keeps exact `.ln()` and is not
         // in this closure.
         fast_math_roots: vec![
-            root("crates/workload/src/engine.rs", Some("FastEngine"), "think_time"),
-            root("crates/workload/src/engine.rs", Some("FastEngine"), "uniform"),
-            root("crates/workload/src/engine.rs", Some("AgentStream"), "refill"),
-            root("crates/workload/src/engine.rs", Some("AgentStream"), "next_normal"),
-            root("crates/workload/src/engine.rs", Some("AgentStream"), "next_u64"),
+            root(
+                "crates/workload/src/engine.rs",
+                Some("FastEngine"),
+                "think_time",
+            ),
+            root(
+                "crates/workload/src/engine.rs",
+                Some("FastEngine"),
+                "uniform",
+            ),
+            root(
+                "crates/workload/src/engine.rs",
+                Some("AgentStream"),
+                "refill",
+            ),
+            root(
+                "crates/workload/src/engine.rs",
+                Some("AgentStream"),
+                "next_normal",
+            ),
+            root(
+                "crates/workload/src/engine.rs",
+                Some("AgentStream"),
+                "next_u64",
+            ),
         ],
         runner_roots: vec![
             root("crates/sim/src/system.rs", Some("Simulation"), "run"),

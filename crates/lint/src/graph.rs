@@ -69,9 +69,8 @@ pub fn call_sites(tokens: &[Token<'_>]) -> Vec<CallSite> {
     let code: Vec<&Token<'_>> = tokens.iter().filter(|t| !t.is_comment()).collect();
     let mut sites = Vec::new();
     let at = |j: usize| code.get(j).copied();
-    let is_pathsep = |j: usize| {
-        at(j).is_some_and(|t| t.text == ":") && at(j + 1).is_some_and(|t| t.text == ":")
-    };
+    let is_pathsep =
+        |j: usize| at(j).is_some_and(|t| t.text == ":") && at(j + 1).is_some_and(|t| t.text == ":");
 
     let mut i = 0usize;
     while i < code.len() {
@@ -232,10 +231,7 @@ impl CallGraph {
                             CallKind::Macro => {}
                             CallKind::Method(_) => {
                                 out.extend(
-                                    candidates
-                                        .iter()
-                                        .filter(|&&c| item_of(c).has_self)
-                                        .copied(),
+                                    candidates.iter().filter(|&&c| item_of(c).has_self).copied(),
                                 );
                             }
                             CallKind::Free => {
@@ -301,8 +297,7 @@ impl CallGraph {
     /// predecessor on one shortest path (roots map to themselves).
     #[must_use]
     pub fn reachable(&self, roots: &[FnId]) -> std::collections::BTreeMap<FnId, FnId> {
-        let mut parent: std::collections::BTreeMap<FnId, FnId> =
-            std::collections::BTreeMap::new();
+        let mut parent: std::collections::BTreeMap<FnId, FnId> = std::collections::BTreeMap::new();
         let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
         for &r in roots {
             if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
@@ -388,7 +383,10 @@ mod tests {
     fn transitive_reachability_through_helpers() {
         let (items, graph) = graph_of(&[
             ("a.rs", "fn root() { helper(); }"),
-            ("b.rs", "fn helper() { deep(); }\nfn deep() {}\nfn unrelated() {}"),
+            (
+                "b.rs",
+                "fn helper() { deep(); }\nfn deep() {}\nfn unrelated() {}",
+            ),
         ]);
         let root = FnId { file: 0, item: 0 };
         let reach = graph.reachable(&[root]);

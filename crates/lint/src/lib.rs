@@ -116,10 +116,8 @@ fn collect_rs(root: &Path, rel: &str, out: &mut Vec<SourceFile>) -> std::io::Res
 #[must_use]
 pub fn run(ws: &Workspace, cfg: &Config, baseline: &Baseline) -> Report {
     // Lex and parse every file once.
-    let lexed: Vec<Vec<lexer::Token<'_>>> =
-        ws.files.iter().map(|f| lexer::lex(&f.text)).collect();
-    let parsed: Vec<Vec<items::FnItem>> =
-        lexed.iter().map(|t| items::parse_items(t)).collect();
+    let lexed: Vec<Vec<lexer::Token<'_>>> = ws.files.iter().map(|f| lexer::lex(&f.text)).collect();
+    let parsed: Vec<Vec<items::FnItem>> = lexed.iter().map(|t| items::parse_items(t)).collect();
     let file_fns: Vec<graph::FileFns<'_>> = ws
         .files
         .iter()

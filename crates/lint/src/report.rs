@@ -115,7 +115,10 @@ impl Report {
                 Value::UInt(self.stats.runner_reachable as u64),
             ),
             ("open".into(), Value::UInt(self.open.len() as u64)),
-            ("baselined".into(), Value::UInt(self.suppressed.len() as u64)),
+            (
+                "baselined".into(),
+                Value::UInt(self.suppressed.len() as u64),
+            ),
             (
                 "panic_sites".into(),
                 Value::UInt(self.panic_surface.len() as u64),
@@ -161,7 +164,10 @@ mod tests {
             },
         };
         let doc = serde_json::from_str(&report.to_json()).expect("valid JSON");
-        assert_eq!(doc.get("format").and_then(serde::Value::as_str), Some(REPORT_FORMAT));
+        assert_eq!(
+            doc.get("format").and_then(serde::Value::as_str),
+            Some(REPORT_FORMAT)
+        );
         let findings = doc
             .get("findings")
             .and_then(serde::Value::as_array)

@@ -71,7 +71,11 @@ fn helper(x: u32) -> u32 {
     let mut cfg = empty_config();
     cfg.hot_roots = vec![root("crates/toy/src/hot.rs", "settle")];
     let findings = open_findings(&ws(&[("crates/toy/src/hot.rs", src)]), &cfg);
-    assert_eq!(findings.len(), 1, "exactly the seeded violation: {findings:?}");
+    assert_eq!(
+        findings.len(),
+        1,
+        "exactly the seeded violation: {findings:?}"
+    );
     let f = &findings[0];
     assert_eq!(f.check, "hot-alloc");
     assert_eq!(f.file, "crates/toy/src/hot.rs");
@@ -124,7 +128,10 @@ pub fn settle(m: &std::sync::Mutex<u32>) -> u32 {
     let findings = open_findings(&ws(&[("crates/toy/src/hot.rs", src)]), &cfg);
     let checks: Vec<&str> = findings.iter().map(|f| f.check).collect();
     assert!(checks.contains(&"hot-lock"), "{findings:?}");
-    assert!(checks.contains(&"hot-panic"), "the unwrap too: {findings:?}");
+    assert!(
+        checks.contains(&"hot-panic"),
+        "the unwrap too: {findings:?}"
+    );
 }
 
 #[test]
@@ -246,7 +253,9 @@ mod tests {
     // nothing fires inside the `#[cfg(test)]` module.
     assert!(!findings.is_empty());
     assert!(
-        findings.iter().all(|f| f.check == "det-time" && f.line == 2),
+        findings
+            .iter()
+            .all(|f| f.check == "det-time" && f.line == 2),
         "{findings:?}"
     );
 }
@@ -391,7 +400,11 @@ fn unrelated() {
         &cfg,
         &Baseline::empty(),
     );
-    assert!(report.is_clean(), "the catalog never fails: {:?}", report.open);
+    assert!(
+        report.is_clean(),
+        "the catalog never fails: {:?}",
+        report.open
+    );
     let sites: Vec<(&str, u32)> = report
         .panic_surface
         .iter()
@@ -400,7 +413,10 @@ fn unrelated() {
     assert!(sites.contains(&("assert!", 2)), "{sites:?}");
     assert!(sites.contains(&(".expect()", 6)), "{sites:?}");
     assert!(
-        !report.panic_surface.iter().any(|s| s.function == "unrelated"),
+        !report
+            .panic_surface
+            .iter()
+            .any(|s| s.function == "unrelated"),
         "only runner-reachable sites belong in the catalog"
     );
     // Keep `unrelated` an honest part of this scenario: it IS a panic
@@ -435,11 +451,7 @@ fn helper(x: u32) -> u32 {
 
     // Fix the violation but keep the suppression: baseline rot fails.
     let fixed = src.replace("let v = Vec::new();\n    drop(v);\n    ", "");
-    let report = run(
-        &ws(&[("crates/toy/src/hot.rs", &fixed)]),
-        &cfg,
-        &baseline,
-    );
+    let report = run(&ws(&[("crates/toy/src/hot.rs", &fixed)]), &cfg, &baseline);
     assert!(!report.is_clean());
     assert_eq!(report.open.len(), 1);
     assert_eq!(report.open[0].check, "baseline-unused");

@@ -83,9 +83,6 @@ fn a_crate_root_without_forbid_unsafe_is_a_finding() {
     assert_eq!(open.len(), 1, "{open:?}");
     assert_eq!(open[0].check, "forbid-unsafe");
     // Non-root modules are out of scope.
-    let open = findings_for(vec![(
-        "crates/toy/src/inner.rs",
-        "pub fn f() {}\n",
-    )]);
+    let open = findings_for(vec![("crates/toy/src/inner.rs", "pub fn f() {}\n")]);
     assert_eq!(open, vec![]);
 }

@@ -36,11 +36,7 @@ fn committed_baseline() -> Baseline {
 #[test]
 fn the_workspace_is_clean_under_the_committed_baseline() {
     let report = run(&real_workspace(), &real_config(), &committed_baseline());
-    assert!(
-        report.is_clean(),
-        "open findings:\n{}",
-        report.to_text()
-    );
+    assert!(report.is_clean(), "open findings:\n{}", report.to_text());
 }
 
 #[test]
@@ -65,7 +61,11 @@ fn scan_statistics_stay_in_a_sane_band() {
     let report = run(&real_workspace(), &real_config(), &Baseline::empty());
     let s = report.stats;
     assert!(s.files >= 80, "only {} files scanned", s.files);
-    assert!(s.functions >= 1000, "only {} functions extracted", s.functions);
+    assert!(
+        s.functions >= 1000,
+        "only {} functions extracted",
+        s.functions
+    );
     assert!(
         s.hot_reachable >= 100,
         "only {} fns reachable from hot roots — did root resolution break?",

@@ -44,8 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use busarb_types::{AgentId, Error, Time};
 pub use busarb_types::CoherenceOp;
+use busarb_types::{AgentId, Error, Time};
 
 /// Upper bound on consecutive hits executed per [`next_miss`] call.
 ///
@@ -306,7 +306,11 @@ impl CoherenceSystem {
         loop {
             refs += 1;
             let shared = cfg.shared_lines > 0 && draw(agent) < cfg.shared_fraction;
-            let lines = if shared { cfg.shared_lines } else { cfg.private_lines };
+            let lines = if shared {
+                cfg.shared_lines
+            } else {
+                cfg.private_lines
+            };
             // `u < 1.0`, so the product floors below `lines`; the min is
             // belt-and-braces against u == 1.0 - eps rounding up.
             let line = ((draw(agent) * f64::from(lines)) as u32).min(lines - 1);
@@ -393,12 +397,20 @@ impl CoherenceSystem {
             op = if state == MesiState::Shared {
                 CoherenceOp::Upgrade
             } else {
-                debug_assert_eq!(state, MesiState::Invalid, "write reached the bus from {state:?}");
+                debug_assert_eq!(
+                    state,
+                    MesiState::Invalid,
+                    "write reached the bus from {state:?}"
+                );
                 CoherenceOp::WriteMiss
             };
             self.storage_mut(p.shared)[slot] = MesiState::Modified.to_u8();
         } else {
-            debug_assert_eq!(state, MesiState::Invalid, "read reached the bus from {state:?}");
+            debug_assert_eq!(
+                state,
+                MesiState::Invalid,
+                "read reached the bus from {state:?}"
+            );
             let mut others_hold = false;
             if p.shared {
                 let n = self.agents as usize;
@@ -496,8 +508,8 @@ mod tests {
         let mut m = CoherenceSystem::new(3, c);
         let read = [0.0, 0.0, 0.9]; // write draw 0.9 >= 0.5 -> read
         let write = [0.0, 0.0, 0.0]; // write draw 0.0 < 0.5 -> write
-        // Agents 2 and 3 read shared line 0: first Exclusive, then both
-        // downgrade to Shared.
+                                     // Agents 2 and 3 read shared line 0: first Exclusive, then both
+                                     // downgrade to Shared.
         m.next_miss(id(2), feed(read));
         m.complete(id(2), |_| {});
         assert_eq!(m.state(id(2), Line::Shared(0)), MesiState::Exclusive);

@@ -23,8 +23,8 @@ use std::path::Path;
 use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
 use crate::export::{
-    coherence_op_from_code, coherence_op_from_slug, MAGIC, TAG_ARBITRATION, TAG_COHERENCE,
-    TAG_END, TAG_REQUEST, TAG_TRANSFER, VERSION,
+    coherence_op_from_code, coherence_op_from_slug, MAGIC, TAG_ARBITRATION, TAG_COHERENCE, TAG_END,
+    TAG_REQUEST, TAG_TRANSFER, VERSION,
 };
 use crate::{TraceFormat, TraceHeader};
 
@@ -382,9 +382,8 @@ impl<R: Read> TraceReader<R> {
             },
             _ => {
                 // TAG_COHERENCE (any other tag was rejected above).
-                let op = coherence_op_from_code(fixed[12]).ok_or_else(|| {
-                    position(format!("unknown coherence op code {}", fixed[12]))
-                })?;
+                let op = coherence_op_from_code(fixed[12])
+                    .ok_or_else(|| position(format!("unknown coherence op code {}", fixed[12])))?;
                 let invalidated =
                     u32::from_le_bytes(fixed[13..17].try_into().expect("4-byte slice"));
                 TraceKind::Coherence {
@@ -436,11 +435,7 @@ fn read_up_to<R: Read>(input: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-fn parse_header(
-    text: &str,
-    offset: u64,
-    line: Option<u64>,
-) -> Result<TraceHeader, StreamError> {
+fn parse_header(text: &str, offset: u64, line: Option<u64>) -> Result<TraceHeader, StreamError> {
     let value = serde_json::from_str(text)
         .map_err(|e| StreamError::new(offset, line, format!("bad header: {e}")))?;
     TraceHeader::from_value(&value)
@@ -680,7 +675,10 @@ mod tests {
         };
         assert!(err.message.contains("truncated"), "{err}");
         // The error points at the start of the final, cut-short record.
-        assert_eq!(err.offset, reader_record_starts(&bytes).last().copied().unwrap());
+        assert_eq!(
+            err.offset,
+            reader_record_starts(&bytes).last().copied().unwrap()
+        );
         assert_eq!(err.line, None);
         // After the error the reader reads as exhausted, not as looping.
         assert_eq!(reader.next_event(), Ok(None));
@@ -688,8 +686,7 @@ mod tests {
 
     /// Byte offsets of every binary record start, computed independently.
     fn reader_record_starts(bytes: &[u8]) -> Vec<u64> {
-        let header_len =
-            u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+        let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
         let mut at = 9 + header_len;
         let mut starts = Vec::new();
         while at < bytes.len() {
@@ -864,7 +861,8 @@ mod tests {
                 .unwrap();
                 let err = TraceReader::new(&bytes[..]).unwrap_err();
                 assert!(
-                    err.message.contains(&format!("agent count {agents} outside 1..=128")),
+                    err.message
+                        .contains(&format!("agent count {agents} outside 1..=128")),
                     "{agents} ({format}): {err}"
                 );
             }

@@ -154,7 +154,11 @@ impl BusUsage {
         // An unresolved arbitration may end inside the interval: charge
         // the prefix to backpressure and re-classify the remainder.
         if from < self.arb_until {
-            let until = if at < self.arb_until { at } else { self.arb_until };
+            let until = if at < self.arb_until {
+                at
+            } else {
+                self.arb_until
+            };
             self.backpressure += until - from;
             from = until;
             if from >= at {

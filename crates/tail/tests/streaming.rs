@@ -210,9 +210,15 @@ fn analyze_path_surfaces_offsets_for_corrupt_files() {
     std::fs::remove_file(&path).ok();
     let stream = stream_error(&err).expect("structured stream error");
     assert_eq!(stream.offset, body as u64);
-    assert!(stream.message.contains("unknown binary record tag"), "{stream}");
+    assert!(
+        stream.message.contains("unknown binary record tag"),
+        "{stream}"
+    );
     // The rendered error names the offset, so CLI users see it too.
-    assert!(err.to_string().contains(&format!("byte offset {body}")), "{err}");
+    assert!(
+        err.to_string().contains(&format!("byte offset {body}")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -99,7 +99,10 @@ impl Time {
     /// builds still assert finiteness.
     #[must_use]
     pub fn saturating(value: f64) -> Time {
-        debug_assert!(value.is_finite(), "Time::saturating requires a finite value");
+        debug_assert!(
+            value.is_finite(),
+            "Time::saturating requires a finite value"
+        );
         Time::new(value).unwrap_or(Time::ZERO)
     }
 

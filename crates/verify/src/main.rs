@@ -28,7 +28,10 @@ struct Args {
 }
 
 fn usage() -> String {
-    let slugs: Vec<String> = ProtocolKind::all().iter().map(ToString::to_string).collect();
+    let slugs: Vec<String> = ProtocolKind::all()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     format!(
         "usage: verify [--all | --protocol SLUG ...] [options]\n\
          \n\
@@ -63,10 +66,7 @@ fn parse_args() -> Result<Args, String> {
     let mut single_size = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match arg.as_str() {
             "--all" => all = true,
             "--protocol" => {

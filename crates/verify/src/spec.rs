@@ -96,14 +96,14 @@ impl Spec {
                 fcfs1_counters: false,
                 rr3_recovery: false,
             },
-            ProtocolKind::CentralRoundRobin
-            | ProtocolKind::Adaptive
-            | ProtocolKind::RotatingRr => Spec {
-                bypass_bound: scan,
-                fifo: Fifo::None,
-                fcfs1_counters: false,
-                rr3_recovery: false,
-            },
+            ProtocolKind::CentralRoundRobin | ProtocolKind::Adaptive | ProtocolKind::RotatingRr => {
+                Spec {
+                    bypass_bound: scan,
+                    fifo: Fifo::None,
+                    fcfs1_counters: false,
+                    rr3_recovery: false,
+                }
+            }
             // `ProtocolKind` is non-exhaustive; a kind added without an
             // invariant set here must fail loudly.
             other => unimplemented!("no invariant spec for {other}"),
