@@ -1,12 +1,14 @@
 //! Shared helpers for the `busarb` criterion benches.
 //!
-//! The benches live in `benches/`:
+//! The benches in `benches/` time what no workload of the repository
+//! benchmark (`benchmark/`, `BENCHMARK.json`) reaches; the benchmark
+//! times the event loop, the draw engines, the trace pipeline and
+//! `repro all` end to end and layer by layer.
 //!
-//! * `tables` — one benchmark per paper table/figure, each running the
-//!   representative simulation kernel of that experiment at smoke scale.
-//! * `protocols` — arbitration-decision throughput of every protocol.
-//! * `contention` — wired-OR settle dynamics and signal-level systems.
-//! * `engine` — discrete-event engine throughput.
+//! * `protocols` — arbitration-decision throughput of every protocol on
+//!   a saturated bus, up to 128 agents (two-word agent planes).
+//! * `contention` — wired-OR settle dynamics and the signal-level
+//!   protocol systems.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,8 +29,7 @@
 //!   validate.cis        CI coverage + batch-independence diagnostics
 //!   protocols           list every simulated protocol and its line cost
 //!   cell                run the pinned traced cell, export its trace,
-//!                       replay the export, and cross-check the aggregates
-//!   inspect FILE        replay an exported trace and print its aggregates
+//!                       analyze the export, and cross-check the aggregates
 //!   tolerance [FACTOR]  run Table 4.1 under both draw engines and check
 //!                       the fast means land within FACTOR x the summed
 //!                       confidence halfwidths (default 1.5)
@@ -42,10 +41,12 @@
 //! ignores the flag). `--metrics FILE` collects a per-cell metrics
 //! snapshot from every simulation the command runs and writes them
 //! (plus a deterministic tag-sorted merge) as JSON. `--trace FILE` sets
-//! the export path used by the `cell` command.
+//! the export path used by the `cell` command, whose `--json` output is
+//! the export's `busarb analyze` report. Any JSON or metrics file that
+//! cannot be written fails the run.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use busarb_core::{Arbiter, ProtocolKind};
@@ -67,7 +68,8 @@ struct Options {
     trace: Option<PathBuf>,
     trace_format: TraceFormat,
     command: String,
-    argument: Option<String>,
+    /// The `tolerance` command's factor.
+    factor: f64,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -123,6 +125,17 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
+    let command = command.ok_or("missing command; try --help")?;
+    // Only `tolerance` takes an argument.
+    let factor = match (command.as_str(), argument) {
+        (_, None) => 1.5,
+        ("tolerance", Some(v)) => v
+            .parse::<f64>()
+            .ok()
+            .filter(|f| *f > 0.0)
+            .ok_or_else(|| format!("invalid tolerance factor '{v}'"))?,
+        (_, Some(v)) => return Err(format!("unexpected argument '{v}'")),
+    };
     Ok(Options {
         scale,
         json_dir,
@@ -131,8 +144,8 @@ fn parse_args() -> Result<Options, String> {
         metrics,
         trace,
         trace_format,
-        command: command.ok_or("missing command; try --help")?,
-        argument,
+        command,
+        factor,
     })
 }
 
@@ -145,33 +158,33 @@ fn usage() -> &'static str {
      \u{20}         ablation.start-rule ablation.overhead ablation.width-overhead\n\
      \u{20}         hybrid conservation\n\
      \u{20}         tails bursty coherence worst-case.fcfs priority scaling validate.cis\n\
-     \u{20}         protocols cell inspect tolerance all"
+     \u{20}         protocols cell tolerance [FACTOR] all"
 }
 
-fn emit<T: Serialize>(opts: &Options, name: &str, value: &T, text: String) {
+/// Prints `text` and, under `--json DIR`, writes `value` to
+/// `DIR/{name}.json`.
+///
+/// # Errors
+///
+/// Returns a one-line message naming the directory or file that could
+/// not be created, serialized or written.
+fn emit<T: Serialize>(opts: &Options, name: &str, value: &T, text: String) -> Result<(), String> {
     println!("{text}");
-    if let Some(dir) = &opts.json_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{name}.json"));
-        match serde_json::to_string_pretty(value) {
-            Ok(json) => {
-                if let Err(e) = fs::write(&path, json) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-        }
-    }
+    let Some(dir) = &opts.json_dir else {
+        return Ok(());
+    };
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.json"));
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("cannot serialize {}: {e}", path.display()))?;
+    fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
-fn run_ablation(opts: &Options, result: &ablations::Ablation) {
+fn run_ablation(opts: &Options, result: &ablations::Ablation) -> Result<(), String> {
     let name = result.name.replace('.', "_");
-    emit(opts, &name, result, ablations::format(result));
+    emit(opts, &name, result, ablations::format(result))
 }
 
 /// One compared Table 4.1 estimate in the `tolerance` report.
@@ -198,7 +211,8 @@ struct ToleranceReport {
 /// Runs Table 4.1 under both draw engines and checks every estimate the
 /// fast engine produces against the reference run: the means must agree
 /// to within `factor * (halfwidth_ref + halfwidth_fast)`.
-fn tolerance(opts: &Options, factor: f64) -> ExitCode {
+fn tolerance(opts: &Options) -> Result<(), String> {
+    let factor = opts.factor;
     eprintln!("tolerance: Table 4.1 under the reference engine...");
     busarb_experiments::set_engine(DrawEngineKind::Reference);
     let reference = table4_1::run(opts.scale);
@@ -261,12 +275,11 @@ fn tolerance(opts: &Options, factor: f64) -> ExitCode {
         cells,
         failures,
     };
-    emit(opts, "tolerance", &report, text);
+    emit(opts, "tolerance", &report, text)?;
     if failures > 0 {
-        eprintln!("error: {failures} estimate(s) outside tolerance");
-        return ExitCode::FAILURE;
+        return Err(format!("{failures} estimate(s) outside tolerance"));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -293,75 +306,91 @@ fn main() -> ExitCode {
     eprintln!("jobs: {}", busarb_experiments::jobs());
     eprintln!("engine: {}", busarb_experiments::engine());
 
+    match run(&opts).and_then(|()| write_metrics(&opts)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs `opts.command`.
+///
+/// # Errors
+///
+/// Returns the message to print when an output cannot be written, the
+/// command fails its own check, or the command is unknown.
+fn run(opts: &Options) -> Result<(), String> {
     match opts.command.as_str() {
         "table4.1" => {
             let t = table4_1::run(opts.scale);
-            emit(&opts, "table4_1", &t, table4_1::format(&t));
+            emit(opts, "table4_1", &t, table4_1::format(&t))?;
         }
         "table4.2" => {
             let t = table4_2::run(opts.scale);
-            emit(&opts, "table4_2", &t, table4_2::format(&t));
+            emit(opts, "table4_2", &t, table4_2::format(&t))?;
         }
         "fig4.1" => {
             let f = figure4_1::run(opts.scale);
-            emit(&opts, "figure4_1", &f, figure4_1::format(&f));
+            emit(opts, "figure4_1", &f, figure4_1::format(&f))?;
         }
         "table4.3" => {
             let t = table4_3::run(opts.scale);
-            emit(&opts, "table4_3", &t, table4_3::format(&t));
+            emit(opts, "table4_3", &t, table4_3::format(&t))?;
         }
         "table4.4" => {
             let t = table4_4::run(opts.scale);
-            emit(&opts, "table4_4", &t, table4_4::format(&t));
+            emit(opts, "table4_4", &t, table4_4::format(&t))?;
         }
         "table4.5" => {
             let t = table4_5::run(opts.scale);
-            emit(&opts, "table4_5", &t, table4_5::format(&t));
+            emit(opts, "table4_5", &t, table4_5::format(&t))?;
         }
-        "ablation.counters" => run_ablation(&opts, &ablations::counter_bits(opts.scale)),
-        "ablation.window" => run_ablation(&opts, &ablations::tie_window(opts.scale)),
-        "ablation.rr3" => run_ablation(&opts, &ablations::rr3_overhead(opts.scale)),
-        "ablation.start-rule" => run_ablation(&opts, &ablations::start_rule(opts.scale)),
-        "ablation.overhead" => run_ablation(&opts, &ablations::overhead(opts.scale)),
+        "ablation.counters" => run_ablation(opts, &ablations::counter_bits(opts.scale))?,
+        "ablation.window" => run_ablation(opts, &ablations::tie_window(opts.scale))?,
+        "ablation.rr3" => run_ablation(opts, &ablations::rr3_overhead(opts.scale))?,
+        "ablation.start-rule" => run_ablation(opts, &ablations::start_rule(opts.scale))?,
+        "ablation.overhead" => run_ablation(opts, &ablations::overhead(opts.scale))?,
         "ablation.width-overhead" => {
-            run_ablation(&opts, &ablations::width_overhead(opts.scale));
+            run_ablation(opts, &ablations::width_overhead(opts.scale))?;
         }
-        "hybrid" => run_ablation(&opts, &ablations::hybrid(opts.scale)),
-        "conservation" => run_ablation(&opts, &ablations::conservation(opts.scale)),
+        "hybrid" => run_ablation(opts, &ablations::hybrid(opts.scale))?,
+        "conservation" => run_ablation(opts, &ablations::conservation(opts.scale))?,
         "tails" => {
             let t = tails::run(opts.scale);
-            emit(&opts, "tails", &t, tails::format(&t));
+            emit(opts, "tails", &t, tails::format(&t))?;
         }
         "bursty" => {
             let b = bursty::run(opts.scale);
-            emit(&opts, "bursty", &b, bursty::format(&b));
+            emit(opts, "bursty", &b, bursty::format(&b))?;
         }
         "coherence" => {
             let c = coherence::run(opts.scale);
-            emit(&opts, "coherence", &c, coherence::format(&c));
+            emit(opts, "coherence", &c, coherence::format(&c))?;
         }
         "scaling" => {
             let sc = scaling::run(opts.scale);
-            emit(&opts, "scaling", &sc, scaling::format(&sc));
+            emit(opts, "scaling", &sc, scaling::format(&sc))?;
         }
         "priority" => {
             let p = priority_study::run(opts.scale);
-            emit(&opts, "priority_study", &p, priority_study::format(&p));
+            emit(opts, "priority_study", &p, priority_study::format(&p))?;
         }
         "worst-case.fcfs" => {
             let w = worst_case_fcfs::run(opts.scale);
-            emit(&opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w));
+            emit(opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w))?;
         }
         "validate.cis" => {
             let c = validation::ci_coverage(opts.scale, 40);
-            emit(&opts, "ci_coverage", &c, validation::format_coverage(&c));
+            emit(opts, "ci_coverage", &c, validation::format_coverage(&c))?;
             let d = validation::batch_diagnostics(opts.scale);
             emit(
-                &opts,
+                opts,
                 "batch_diagnostics",
                 &d,
                 validation::format_diagnostics(&d),
-            );
+            )?;
         }
         "protocols" => {
             // One row per simulated protocol: slug, family name, and the
@@ -385,123 +414,78 @@ fn main() -> ExitCode {
             eprintln!("tracing the pinned cell to {}", path.display());
             let live = observe::run_pinned(opts.scale, Some((&path, format)));
             println!("live     {live}");
-            let replayed = match observe::inspect(&path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: cannot replay {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            emit(
-                &opts,
-                "cell_inspect",
-                &observe::InspectJson::from(&replayed),
-                observe::format_replay(&replayed),
-            );
-            if let Err(diffs) = observe::cross_check(&live, &replayed) {
+            let analysis = busarb_tail::analyze_path(&path)
+                .map_err(|e| format!("cannot replay {}: {e}", path.display()))?;
+            let text = analysis.render_text().trim_end().to_string();
+            emit(opts, "cell_analysis", &analysis, text)?;
+            observe::cross_check(&live, &analysis.protocol, &analysis.replay).map_err(|diffs| {
                 // One line, machine-grepable: count first, then every
                 // differing aggregate as `field: live X vs replayed Y`.
-                eprintln!(
+                format!(
                     "round-trip MISMATCH: {} aggregate(s) differ: {}",
                     diffs.len(),
                     diffs.join("; ")
-                );
-                return ExitCode::FAILURE;
-            }
+                )
+            })?;
             println!("round-trip OK: replayed aggregates match the live run");
         }
-        "inspect" => {
-            let Some(file) = &opts.argument else {
-                eprintln!("error: inspect needs a trace file\n{}", usage());
-                return ExitCode::FAILURE;
-            };
-            let replayed = match observe::inspect(Path::new(file)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: cannot replay {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            emit(
-                &opts,
-                "inspect",
-                &observe::InspectJson::from(&replayed),
-                observe::format_replay(&replayed),
-            );
-        }
-        "tolerance" => {
-            let factor = match opts.argument.as_deref() {
-                None => 1.5,
-                Some(v) => match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 => f,
-                    _ => {
-                        eprintln!("error: invalid tolerance factor '{v}'\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                },
-            };
-            return tolerance(&opts, factor);
-        }
+        "tolerance" => tolerance(opts)?,
         "all" => {
             eprintln!("computing the shared simulation grid...");
             let grid = Grid::compute(opts.scale);
             let t1 = table4_1::from_grid(&grid);
-            emit(&opts, "table4_1", &t1, table4_1::format(&t1));
+            emit(opts, "table4_1", &t1, table4_1::format(&t1))?;
             let t2 = table4_2::from_grid(&grid);
-            emit(&opts, "table4_2", &t2, table4_2::format(&t2));
+            emit(opts, "table4_2", &t2, table4_2::format(&t2))?;
             let f = figure4_1::from_grid(&grid);
-            emit(&opts, "figure4_1", &f, figure4_1::format(&f));
+            emit(opts, "figure4_1", &f, figure4_1::format(&f))?;
             let t3 = table4_3::from_grid(&grid);
-            emit(&opts, "table4_3", &t3, table4_3::format(&t3));
+            emit(opts, "table4_3", &t3, table4_3::format(&t3))?;
             let t4 = table4_4::run(opts.scale);
-            emit(&opts, "table4_4", &t4, table4_4::format(&t4));
+            emit(opts, "table4_4", &t4, table4_4::format(&t4))?;
             let t5 = table4_5::run(opts.scale);
-            emit(&opts, "table4_5", &t5, table4_5::format(&t5));
+            emit(opts, "table4_5", &t5, table4_5::format(&t5))?;
             for ablation in ablations::all(opts.scale) {
-                run_ablation(&opts, &ablation);
+                run_ablation(opts, &ablation)?;
             }
             let t = tails::run(opts.scale);
-            emit(&opts, "tails", &t, tails::format(&t));
+            emit(opts, "tails", &t, tails::format(&t))?;
             let b = bursty::run(opts.scale);
-            emit(&opts, "bursty", &b, bursty::format(&b));
+            emit(opts, "bursty", &b, bursty::format(&b))?;
             let w = worst_case_fcfs::run(opts.scale);
-            emit(&opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w));
+            emit(opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w))?;
             let p = priority_study::run(opts.scale);
-            emit(&opts, "priority_study", &p, priority_study::format(&p));
+            emit(opts, "priority_study", &p, priority_study::format(&p))?;
             let sc = scaling::run(opts.scale);
-            emit(&opts, "scaling", &sc, scaling::format(&sc));
+            emit(opts, "scaling", &sc, scaling::format(&sc))?;
             let c = validation::ci_coverage(opts.scale, 40);
-            emit(&opts, "ci_coverage", &c, validation::format_coverage(&c));
+            emit(opts, "ci_coverage", &c, validation::format_coverage(&c))?;
             let d = validation::batch_diagnostics(opts.scale);
             emit(
-                &opts,
+                opts,
                 "batch_diagnostics",
                 &d,
                 validation::format_diagnostics(&d),
-            );
+            )?;
         }
-        other => {
-            eprintln!("error: unknown command '{other}'\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown command '{other}'\n{}", usage())),
     }
-    if let Some(path) = &opts.metrics {
-        if let Some(sweep) = observe::collect_rollups() {
-            eprintln!("collected metrics from {} cells", sweep.cells.len());
-            match serde_json::to_string_pretty(&sweep) {
-                Ok(json) => {
-                    if let Err(e) = fs::write(path, json) {
-                        eprintln!("error: cannot write {}: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("wrote {}", path.display());
-                }
-                Err(e) => {
-                    eprintln!("error: cannot serialize metrics: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Writes the `--metrics` export, if one was asked for.
+///
+/// # Errors
+///
+/// Returns a one-line message naming the file that could not be written.
+fn write_metrics(opts: &Options) -> Result<(), String> {
+    let (Some(path), Some(sweep)) = (&opts.metrics, observe::collect_rollups()) else {
+        return Ok(());
+    };
+    eprintln!("collected metrics from {} cells", sweep.cells.len());
+    let json = serde_json::to_string_pretty(&sweep)
+        .map_err(|e| format!("cannot serialize metrics: {e}"))?;
+    fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }

@@ -1,18 +1,20 @@
-//! Observability harness: the pinned traced cell, trace-export
-//! inspection, and sweep-wide metric rollups.
+//! Observability harness: the pinned traced cell, its round-trip
+//! cross-check, and sweep-wide metric rollups.
 //!
 //! The *pinned cell* (round-robin, 10 agents, total load 2.0, CV 1.0)
 //! is the scenario the round-trip acceptance check runs: simulate it
-//! with a write-through trace export, replay the export through
-//! [`busarb_obs::replay`], and require the replayed aggregates to match
-//! the live [`RunReport`] within floating-point round-off. The `repro
-//! cell` command and the CI observability step both drive this module.
+//! with a write-through trace export, analyze the export with
+//! [`busarb_tail::analyze_path`] (the engine behind `busarb analyze`),
+//! and require its replayed aggregates to match the live [`RunReport`]
+//! within floating-point round-off. The `repro cell` command and the CI
+//! observability step both drive this module.
 
 use std::path::Path;
 
 use busarb_core::ProtocolKind;
-use busarb_obs::{MetricsSnapshot, Replay, ReplayBuilder, TraceFormat};
+use busarb_obs::{MetricsSnapshot, TraceFormat};
 use busarb_sim::{RunReport, Simulation, SystemConfig};
+use busarb_tail::ReplaySummary;
 use busarb_workload::Scenario;
 use serde::Serialize;
 
@@ -56,59 +58,43 @@ pub fn run_pinned(scale: Scale, export: Option<(&Path, TraceFormat)>) -> RunRepo
     report
 }
 
-/// Streams an exported trace (either framing, auto-detected) through
-/// the incremental replay, producing run-level aggregates in constant
-/// memory — the trace is never materialized as an event list, so
-/// arbitrarily large exports inspect fine.
-///
-/// # Errors
-///
-/// Returns an error if the file cannot be read or is not a valid
-/// `busarb-trace/1` export. Parse failures are structured
-/// ([`busarb_obs::StreamError`] wrapped in [`std::io::Error`]): their
-/// message names the byte offset — and, for JSONL, the line — where
-/// decoding failed.
-pub fn inspect(path: &Path) -> std::io::Result<Replay> {
-    let mut reader = busarb_obs::open_trace(path)?;
-    let mut builder = ReplayBuilder::new(reader.header())?;
-    while let Some(event) = reader.next_event()? {
-        builder.push(&event)?;
-    }
-    Ok(builder.finish())
-}
-
 /// Relative closeness at f64 round-off scale.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Checks that a replayed export reproduces the live run's aggregates.
+/// Checks that an analyzed export (the `protocol` its header names and
+/// its [`ReplaySummary`]) reproduces the live run's aggregates.
 ///
 /// # Errors
 ///
 /// Returns one entry per mismatched aggregate, each a `field: live X vs
 /// replayed Y` description (`repro cell` joins them into its one-line
 /// diff summary).
-pub fn cross_check(live: &RunReport, replayed: &Replay) -> Result<(), Vec<String>> {
+pub fn cross_check(
+    live: &RunReport,
+    protocol: &str,
+    replayed: &ReplaySummary,
+) -> Result<(), Vec<String>> {
     let mut mismatches = Vec::new();
-    if live.protocol != replayed.protocol {
+    if live.protocol != protocol {
         mismatches.push(format!(
-            "protocol: live {} vs replayed {}",
-            live.protocol, replayed.protocol
+            "protocol: live {} vs replayed {protocol}",
+            live.protocol
         ));
     }
-    if live.wait_summary.count() != replayed.samples() {
+    if live.wait_summary.count() != replayed.samples {
         mismatches.push(format!(
             "samples: live {} vs replayed {}",
             live.wait_summary.count(),
-            replayed.samples()
+            replayed.samples
         ));
     }
     match replayed.mean_wait {
-        Some(est) if close(est.mean, live.mean_wait.mean) => {}
-        Some(est) => mismatches.push(format!(
-            "mean wait: live {} vs replayed {}",
-            live.mean_wait.mean, est.mean
+        Some(mean) if close(mean, live.mean_wait.mean) => {}
+        Some(mean) => mismatches.push(format!(
+            "mean wait: live {} vs replayed {mean}",
+            live.mean_wait.mean
         )),
         None => mismatches.push("mean wait: replay batches incomplete".to_string()),
     }
@@ -129,75 +115,6 @@ pub fn cross_check(live: &RunReport, replayed: &Replay) -> Result<(), Vec<String
     } else {
         Err(mismatches)
     }
-}
-
-/// Serializable view of a [`Replay`] for `repro inspect --json`.
-#[derive(Clone, Debug, Serialize)]
-pub struct InspectJson {
-    /// Protocol named by the trace header.
-    pub protocol: String,
-    /// Waiting-time samples that survived warm-up and the batch budget.
-    pub samples: u64,
-    /// Replayed batch-means estimate of the mean waiting time (negative
-    /// halfwidth when the trace ended before the batch budget filled).
-    pub mean_wait: f64,
-    /// Confidence-interval half-width of `mean_wait`.
-    pub halfwidth: f64,
-    /// Replayed bus utilization over the measurement interval.
-    pub utilization: f64,
-    /// Simulated time spanned by the measurement interval.
-    pub measured_time: f64,
-    /// Request arrivals in the trace.
-    pub requests: u64,
-    /// Grants (arbitration completions) in the trace.
-    pub grants: u64,
-    /// Transfer starts in the trace.
-    pub transfers: u64,
-    /// Transfer completions in the trace.
-    pub completions: u64,
-    /// Completions discarded as warm-up.
-    pub warmup_consumed: u64,
-}
-
-impl From<&Replay> for InspectJson {
-    fn from(r: &Replay) -> Self {
-        InspectJson {
-            protocol: r.protocol.clone(),
-            samples: r.samples(),
-            mean_wait: r.mean_wait.map_or(f64::NAN, |e| e.mean),
-            halfwidth: r.mean_wait.map_or(-1.0, |e| e.halfwidth),
-            utilization: r.utilization,
-            measured_time: r.measured_time,
-            requests: r.requests,
-            grants: r.grants,
-            transfers: r.transfers,
-            completions: r.completions,
-            warmup_consumed: r.warmup_consumed,
-        }
-    }
-}
-
-/// Paper-style text rendering of a replayed trace.
-#[must_use]
-pub fn format_replay(r: &Replay) -> String {
-    let wait = r.mean_wait.map_or_else(
-        || "incomplete (batch budget unmet)".to_string(),
-        |e| e.to_string(),
-    );
-    format!(
-        "replayed {}: W = {wait}, utilization {:.3}\n\
-         events: {} requests, {} grants, {} transfers, {} completions\n\
-         samples: {} counted after {} warm-up, over {:.1} time units",
-        r.protocol,
-        r.utilization,
-        r.requests,
-        r.grants,
-        r.transfers,
-        r.completions,
-        r.samples(),
-        r.warmup_consumed,
-        r.measured_time,
-    )
 }
 
 /// One cell's tag and metrics inside a [`SweepMetrics`] export.
@@ -238,7 +155,7 @@ pub fn collect_rollups() -> Option<SweepMetrics> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use busarb_obs::TraceHeader;
+    use busarb_obs::{JsonlSink, TraceHeader, TraceReader, TraceSink};
 
     #[test]
     fn pinned_cell_round_trips_through_both_export_formats() {
@@ -248,10 +165,9 @@ mod tests {
                 std::process::id()
             ));
             let live = run_pinned(Scale::Smoke, Some((&path, format)));
-            let replayed = inspect(&path).expect("export is readable");
-            let outcome = cross_check(&live, &replayed);
+            let analysis = busarb_tail::analyze_path(&path).expect("export is readable");
             std::fs::remove_file(&path).ok();
-            outcome.unwrap_or_else(|diffs| {
+            cross_check(&live, &analysis.protocol, &analysis.replay).unwrap_or_else(|diffs| {
                 panic!("{format} round-trip mismatch: {}", diffs.join("; "));
             });
             // The replay feeds the identical sample sequence to the same
@@ -259,17 +175,19 @@ mod tests {
             // close — it is equal (shortest-round-trip floats in JSONL,
             // raw bits in the binary framing).
             assert_eq!(
-                replayed.mean_wait.expect("batches complete").mean,
-                live.mean_wait.mean,
+                analysis.replay.mean_wait,
+                Some(live.mean_wait.mean),
                 "{format}: replayed mean drifted from the live run"
             );
-            assert_eq!(replayed.utilization, live.utilization, "{format}");
+            assert_eq!(analysis.replay.utilization, live.utilization, "{format}");
         }
     }
 
     #[test]
     fn cross_check_reports_every_mismatch() {
         let live = run_pinned(Scale::Smoke, None);
+        // A header-only trace under another protocol's name: every
+        // aggregate the cross-check compares differs from the live run.
         let header = TraceHeader {
             schema: busarb_obs::TRACE_SCHEMA.to_string(),
             protocol: "bogus".to_string(),
@@ -280,12 +198,25 @@ mod tests {
             samples_per_batch: 1,
             confidence: 0.9,
         };
-        let replayed = busarb_obs::replay(&header, &[]).expect("empty trace replays");
-        let diffs = cross_check(&live, &replayed).expect_err("everything differs");
+        let mut sink = JsonlSink::new(Vec::new(), &header).expect("header encodes");
+        sink.finish().expect("in-memory sink");
+        let bytes = sink.into_inner();
+        let mut reader = TraceReader::new(&bytes[..]).expect("header-only trace opens");
+        let analysis = busarb_tail::analyze("bogus", &mut reader).expect("empty trace analyzes");
+        let diffs = cross_check(&live, &analysis.protocol, &analysis.replay)
+            .expect_err("everything differs");
         let msg = diffs.join("; ");
-        assert!(diffs.len() >= 3, "{msg}");
-        assert!(msg.contains("protocol"), "{msg}");
-        assert!(msg.contains("samples"), "{msg}");
-        assert!(msg.contains("mean wait"), "{msg}");
+        assert_eq!(diffs.len(), 5, "{msg}");
+        for field in [
+            "protocol",
+            "samples",
+            "mean wait",
+            "utilization",
+            "completions",
+        ] {
+            assert!(msg.contains(field), "{field} missing from {msg}");
+        }
+        // `repro cell` joins the entries into its one diff line.
+        assert!(!msg.contains('\n'), "{msg}");
     }
 }

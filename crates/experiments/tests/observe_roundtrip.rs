@@ -1,24 +1,24 @@
 //! Observability invariants, across protocols and scenario shapes:
 //!
-//! * **Conservation** — the always-on metrics registry agrees with the
-//!   run report's own counters, its per-agent completion tallies sum
-//!   exactly to the total, and grants can exceed completions only by the
-//!   grants still in flight when the run stops (at most the elected
-//!   next master, an arbitration in progress, and the transfer on the
-//!   bus).
-//! * **Round trip** — replaying an exported trace through
-//!   `busarb_obs::replay` (the engine behind `repro inspect`)
-//!   reproduces the live run's mean wait and utilization within f64
-//!   round-off.
+//! * **Conservation** — the always-on metrics registry counts the same
+//!   requests, grants and completions as an independent replay of the
+//!   run's exported trace, its per-agent completion tallies sum exactly
+//!   to the total, and grants can exceed completions only by the grants
+//!   still in flight when the run stops (at most the elected next
+//!   master, an arbitration in progress, and the transfer on the bus).
+//! * **Round trip** — analyzing an exported trace with
+//!   `busarb_tail::analyze_path` (the engine behind `busarb analyze`
+//!   and `repro cell`) reproduces the live run's mean wait and
+//!   utilization exactly.
 //! * **Rollup determinism** — per-cell metric rollups merged after a
 //!   parallel sweep are identical at any worker count.
 
 use busarb_core::ProtocolKind;
-use busarb_experiments::observe::{cross_check, inspect, run_pinned};
-use busarb_experiments::{
-    common::run_cell_kind, enable_rollups, merge_rollups, run_cells_with, take_rollups, Scale,
-};
+use busarb_experiments::common::{run_cell_kind, seed_for};
+use busarb_experiments::observe::{cross_check, run_pinned};
+use busarb_experiments::{enable_rollups, merge_rollups, run_cells_with, take_rollups, Scale};
 use busarb_obs::TraceFormat;
+use busarb_sim::{Simulation, SystemConfig};
 use busarb_workload::Scenario;
 use proptest::prelude::*;
 
@@ -49,14 +49,26 @@ proptest! {
         ][kind_index];
         let scenario = Scenario::equal_load(agents, load, 1.0).unwrap();
         let tag = format!("observe-prop-{agents}-{load}-{kind}-{salt}");
-        let report = run_cell_kind(scenario, kind, Scale::Smoke, &tag, false);
+        let path = std::env::temp_dir().join(format!(
+            "busarb-conservation-{}-{salt}-{agents}-{kind}.btrc",
+            std::process::id()
+        ));
+        let config = SystemConfig::new(scenario)
+            .with_batches(Scale::Smoke.batches())
+            .with_warmup(Scale::Smoke.warmup())
+            .with_seed(seed_for(&tag))
+            .with_trace_export(&path, TraceFormat::Binary);
+        let report = Simulation::new(config).unwrap().run_kind(kind).unwrap();
+        let analysis = busarb_tail::analyze_path(&path);
+        std::fs::remove_file(&path).ok();
+        let replayed = analysis.expect("export must be readable").replay;
         let m = &report.metrics;
 
-        // The registry's tallies are one source of truth, the Runner's
-        // legacy counters another; they must agree exactly.
-        prop_assert_eq!(m.events, report.events);
-        prop_assert_eq!(m.grants, report.grants);
-        prop_assert_eq!(m.arbitrations, report.arbitrations);
+        // The registry counts in the event loop; the replay counts the
+        // trace records the loop wrote. They must agree exactly.
+        prop_assert_eq!(m.requests, replayed.requests);
+        prop_assert_eq!(m.grants, replayed.grants);
+        prop_assert_eq!(m.completions, replayed.completions);
 
         let per_agent: u64 = m.completions_per_agent.iter().sum();
         prop_assert_eq!(per_agent, m.completions, "per-agent tallies must partition the total");
@@ -93,20 +105,19 @@ proptest! {
             std::process::id()
         ));
         let live = run_pinned(scale, Some((&path, format)));
-        let replayed = inspect(&path);
+        let analysis = busarb_tail::analyze_path(&path);
         std::fs::remove_file(&path).ok();
-        let replayed = replayed.expect("export must be readable");
-        let check = cross_check(&live, &replayed);
+        let analysis = analysis.expect("export must be readable");
+        let check = cross_check(&live, &analysis.protocol, &analysis.replay);
         prop_assert!(
             check.is_ok(),
             "{scale}/{format} round-trip mismatch: {check:?}"
         );
-        let est = replayed.mean_wait.expect("batch budget was met");
         // Identical sample sequence through identical batch-means
         // arithmetic: equality, not mere closeness.
-        prop_assert_eq!(est.mean, live.mean_wait.mean);
-        prop_assert_eq!(est.halfwidth, live.mean_wait.halfwidth);
-        prop_assert_eq!(replayed.utilization, live.utilization);
+        prop_assert_eq!(analysis.replay.mean_wait, Some(live.mean_wait.mean));
+        prop_assert_eq!(analysis.replay.halfwidth, Some(live.mean_wait.halfwidth));
+        prop_assert_eq!(analysis.replay.utilization, live.utilization);
     }
 }
 

@@ -29,9 +29,9 @@
 //! * **Replay** ([`replay`]) — recomputes run-level aggregates (mean
 //!   wait with its batch-means confidence interval, utilization, grant
 //!   and completion counts) from an exported trace alone, mirroring the
-//!   simulator's own accounting arithmetic exactly. `repro inspect`
-//!   uses this as a cross-check that trace, metrics, and the live
-//!   `RunReport` agree.
+//!   simulator's own accounting arithmetic exactly. `busarb analyze`
+//!   reports it, and `repro cell` uses it as a cross-check that trace,
+//!   metrics, and the live `RunReport` agree.
 //!
 //! # Export formats
 //!

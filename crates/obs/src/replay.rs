@@ -7,7 +7,7 @@
 //! `samples / measured_time` utilization division — so on a losslessly
 //! exported trace the recomputed mean wait and utilization match the
 //! live `RunReport` bit-for-bit, not merely approximately. `repro
-//! inspect` leans on this to cross-check exports against the engine.
+//! cell` leans on this to cross-check exports against the engine.
 
 use busarb_stats::{BatchMeans, BatchMeansConfig, Estimate, Summary};
 use busarb_types::{TraceEvent, TraceKind};
@@ -59,8 +59,8 @@ impl Replay {
 /// aggregates into a [`Replay`]. All state is fixed-size (the batch-means
 /// accumulator holds one sum per batch, the per-agent tallies one slot
 /// per agent), so replaying a trace of any length takes constant memory —
-/// this is what lets `busarb analyze` and `repro inspect` process traces
-/// that never fit in RAM while still reproducing the live run's
+/// this is what lets `busarb analyze` process traces that never fit in
+/// RAM while still reproducing the live run's
 /// aggregates bit-for-bit.
 ///
 /// [`push`]: ReplayBuilder::push

@@ -13,7 +13,7 @@
 //!
 //! Failures are *structured*: every error is a [`StreamError`] carrying
 //! the byte offset at which the malformed input was detected (and the
-//! 1-based line number for JSONL), so a consumer such as `repro inspect`
+//! 1-based line number for JSONL), so a consumer such as `busarb analyze`
 //! can report exactly where a truncated or corrupt trace went wrong
 //! instead of panicking or silently treating garbage as end-of-file.
 

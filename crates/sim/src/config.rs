@@ -11,8 +11,8 @@ use busarb_workload::{DrawEngineKind, Scenario};
 ///
 /// Unlike the bounded in-memory trace (`trace_limit`), an export writes
 /// **every** event of the run to disk as it happens, in a
-/// self-describing format that `busarb_obs::replay` (and `repro
-/// inspect`) can reconstruct run aggregates from.
+/// self-describing format that `busarb_obs::replay` (and `busarb
+/// analyze`) can reconstruct run aggregates from.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TraceExportConfig {
     /// Destination file (created/truncated at run start).

@@ -8,7 +8,8 @@
 //! from production-scale runs are far larger than RAM; every analyzer
 //! here keeps state that is O(agents + histogram buckets), so peak
 //! memory is independent of trace length and throughput is bounded by
-//! parsing, not analysis (see `BENCH_analyze.json`).
+//! parsing, not analysis (the benchmark's `trace-roundtrip` workload
+//! measures it: `obs.stream`, `obs.replay` and `tail.*` per event).
 //!
 //! A [`Pipeline`] fans each decoded event out to four analyzers:
 //!
@@ -25,11 +26,9 @@
 //!   or assured-access bypass counts.
 //!
 //! `busarb analyze FILE...` drives the pipeline and prints one
-//! deterministic report per trace, text or JSON. `repro inspect` does
-//! not use it: the experiments harness's cross-check
-//! (`busarb_experiments::observe::inspect`) drives
-//! `busarb_obs::ReplayBuilder` over the trace directly, so it computes
-//! only the replay half of this crate's report.
+//! deterministic report per trace, text or JSON. `repro cell` reads its
+//! export through the same [`analyze_path`] and cross-checks the
+//! report's replay half against the live run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

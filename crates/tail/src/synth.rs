@@ -4,9 +4,8 @@
 //! `busarb-trace/1` binary stream of any length *on the fly*: a few
 //! dozen bytes of scratch buffer are refilled one transaction at a time,
 //! so generating a ten-million-event stream neither touches disk nor
-//! materializes anything proportional to its length. `bench_analyze`
-//! feeds these to the pipeline to measure pure analysis throughput, and
-//! the bounded-memory regression test uses them to prove peak heap is
+//! materializes anything proportional to its length. The bounded-memory
+//! regression test feeds these to the pipeline to prove peak heap is
 //! independent of trace length.
 
 use std::io::Read;

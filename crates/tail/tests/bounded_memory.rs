@@ -1,7 +1,7 @@
 //! Bounded-memory guarantee: analyzing a trace 16× longer must not use
 //! more heap.
 //!
-//! The ISSUE-level acceptance criterion for `busarb analyze` is that
+//! The central guarantee of `busarb analyze` is that
 //! peak memory is *independent of trace length* — the analyzers hold
 //! O(agents + buckets) state and the readers buffer one record. Rather
 //! than spot-checking RSS (noisy, allocator-dependent), this test swaps
