@@ -382,21 +382,6 @@ pub fn conservation(scale: Scale) -> Ablation {
     }
 }
 
-/// All ablations, in report order.
-#[must_use]
-pub fn all(scale: Scale) -> Vec<Ablation> {
-    vec![
-        counter_bits(scale),
-        tie_window(scale),
-        rr3_overhead(scale),
-        start_rule(scale),
-        overhead(scale),
-        width_overhead(scale),
-        hybrid(scale),
-        conservation(scale),
-    ]
-}
-
 /// Renders one ablation as a text table.
 #[must_use]
 pub fn format(ablation: &Ablation) -> String {

@@ -27,13 +27,15 @@
 //!   priority            urgent traffic vs FCFS counter-update rules (§3.2)
 //!   scaling             W and sd ratio vs system size (4..64 agents)
 //!   validate.cis        CI coverage + batch-independence diagnostics
+//!   coherence           closed-loop MESI traffic, FCFS vs round-robin
 //!   protocols           list every simulated protocol and its line cost
 //!   cell                run the pinned traced cell, export its trace,
 //!                       analyze the export, and cross-check the aggregates
 //!   tolerance [FACTOR]  run Table 4.1 under both draw engines and check
 //!                       the fast means land within FACTOR x the summed
 //!                       confidence halfwidths (default 1.5)
-//!   all                 everything above (shares one simulation grid)
+//!   all                 every report from table4.1 to validate.cis, in
+//!                       that order (shares one simulation grid)
 //! ```
 //!
 //! `--engine reference|fast` selects the workload draw engine for every
@@ -315,6 +317,94 @@ fn main() -> ExitCode {
     }
 }
 
+/// A report command: computes its report, from the shared grid when
+/// `repro all` passes one, and emits it.
+type Report = fn(&Options, Option<&Grid>) -> Result<(), String>;
+
+/// Every report `repro all` writes, in its order, each under the command
+/// that writes it alone.
+const REPORTS: [(&str, Report); 20] = [
+    ("table4.1", |o, grid| {
+        let t = grid.map_or_else(|| table4_1::run(o.scale), table4_1::from_grid);
+        emit(o, "table4_1", &t, table4_1::format(&t))
+    }),
+    ("table4.2", |o, grid| {
+        let t = grid.map_or_else(|| table4_2::run(o.scale), table4_2::from_grid);
+        emit(o, "table4_2", &t, table4_2::format(&t))
+    }),
+    ("fig4.1", |o, grid| {
+        let f = grid.map_or_else(|| figure4_1::run(o.scale), figure4_1::from_grid);
+        emit(o, "figure4_1", &f, figure4_1::format(&f))
+    }),
+    ("table4.3", |o, grid| {
+        let t = grid.map_or_else(|| table4_3::run(o.scale), table4_3::from_grid);
+        emit(o, "table4_3", &t, table4_3::format(&t))
+    }),
+    ("table4.4", |o, _| {
+        let t = table4_4::run(o.scale);
+        emit(o, "table4_4", &t, table4_4::format(&t))
+    }),
+    ("table4.5", |o, _| {
+        let t = table4_5::run(o.scale);
+        emit(o, "table4_5", &t, table4_5::format(&t))
+    }),
+    ("ablation.counters", |o, _| {
+        run_ablation(o, &ablations::counter_bits(o.scale))
+    }),
+    ("ablation.window", |o, _| {
+        run_ablation(o, &ablations::tie_window(o.scale))
+    }),
+    ("ablation.rr3", |o, _| {
+        run_ablation(o, &ablations::rr3_overhead(o.scale))
+    }),
+    ("ablation.start-rule", |o, _| {
+        run_ablation(o, &ablations::start_rule(o.scale))
+    }),
+    ("ablation.overhead", |o, _| {
+        run_ablation(o, &ablations::overhead(o.scale))
+    }),
+    ("ablation.width-overhead", |o, _| {
+        run_ablation(o, &ablations::width_overhead(o.scale))
+    }),
+    ("hybrid", |o, _| {
+        run_ablation(o, &ablations::hybrid(o.scale))
+    }),
+    ("conservation", |o, _| {
+        run_ablation(o, &ablations::conservation(o.scale))
+    }),
+    ("tails", |o, _| {
+        let t = tails::run(o.scale);
+        emit(o, "tails", &t, tails::format(&t))
+    }),
+    ("bursty", |o, _| {
+        let b = bursty::run(o.scale);
+        emit(o, "bursty", &b, bursty::format(&b))
+    }),
+    ("worst-case.fcfs", |o, _| {
+        let w = worst_case_fcfs::run(o.scale);
+        emit(o, "worst_case_fcfs", &w, worst_case_fcfs::format(&w))
+    }),
+    ("priority", |o, _| {
+        let p = priority_study::run(o.scale);
+        emit(o, "priority_study", &p, priority_study::format(&p))
+    }),
+    ("scaling", |o, _| {
+        let sc = scaling::run(o.scale);
+        emit(o, "scaling", &sc, scaling::format(&sc))
+    }),
+    ("validate.cis", |o, _| {
+        let c = validation::ci_coverage(o.scale, 40);
+        emit(o, "ci_coverage", &c, validation::format_coverage(&c))?;
+        let d = validation::batch_diagnostics(o.scale);
+        emit(
+            o,
+            "batch_diagnostics",
+            &d,
+            validation::format_diagnostics(&d),
+        )
+    }),
+];
+
 /// Runs `opts.command`.
 ///
 /// # Errors
@@ -323,74 +413,17 @@ fn main() -> ExitCode {
 /// command fails its own check, or the command is unknown.
 fn run(opts: &Options) -> Result<(), String> {
     match opts.command.as_str() {
-        "table4.1" => {
-            let t = table4_1::run(opts.scale);
-            emit(opts, "table4_1", &t, table4_1::format(&t))?;
+        "all" => {
+            eprintln!("computing the shared simulation grid...");
+            let grid = Grid::compute(opts.scale);
+            REPORTS
+                .iter()
+                .try_for_each(|(_, report)| report(opts, Some(&grid)))
         }
-        "table4.2" => {
-            let t = table4_2::run(opts.scale);
-            emit(opts, "table4_2", &t, table4_2::format(&t))?;
-        }
-        "fig4.1" => {
-            let f = figure4_1::run(opts.scale);
-            emit(opts, "figure4_1", &f, figure4_1::format(&f))?;
-        }
-        "table4.3" => {
-            let t = table4_3::run(opts.scale);
-            emit(opts, "table4_3", &t, table4_3::format(&t))?;
-        }
-        "table4.4" => {
-            let t = table4_4::run(opts.scale);
-            emit(opts, "table4_4", &t, table4_4::format(&t))?;
-        }
-        "table4.5" => {
-            let t = table4_5::run(opts.scale);
-            emit(opts, "table4_5", &t, table4_5::format(&t))?;
-        }
-        "ablation.counters" => run_ablation(opts, &ablations::counter_bits(opts.scale))?,
-        "ablation.window" => run_ablation(opts, &ablations::tie_window(opts.scale))?,
-        "ablation.rr3" => run_ablation(opts, &ablations::rr3_overhead(opts.scale))?,
-        "ablation.start-rule" => run_ablation(opts, &ablations::start_rule(opts.scale))?,
-        "ablation.overhead" => run_ablation(opts, &ablations::overhead(opts.scale))?,
-        "ablation.width-overhead" => {
-            run_ablation(opts, &ablations::width_overhead(opts.scale))?;
-        }
-        "hybrid" => run_ablation(opts, &ablations::hybrid(opts.scale))?,
-        "conservation" => run_ablation(opts, &ablations::conservation(opts.scale))?,
-        "tails" => {
-            let t = tails::run(opts.scale);
-            emit(opts, "tails", &t, tails::format(&t))?;
-        }
-        "bursty" => {
-            let b = bursty::run(opts.scale);
-            emit(opts, "bursty", &b, bursty::format(&b))?;
-        }
+        // Not part of `all`: its fixture regenerates alone.
         "coherence" => {
             let c = coherence::run(opts.scale);
-            emit(opts, "coherence", &c, coherence::format(&c))?;
-        }
-        "scaling" => {
-            let sc = scaling::run(opts.scale);
-            emit(opts, "scaling", &sc, scaling::format(&sc))?;
-        }
-        "priority" => {
-            let p = priority_study::run(opts.scale);
-            emit(opts, "priority_study", &p, priority_study::format(&p))?;
-        }
-        "worst-case.fcfs" => {
-            let w = worst_case_fcfs::run(opts.scale);
-            emit(opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w))?;
-        }
-        "validate.cis" => {
-            let c = validation::ci_coverage(opts.scale, 40);
-            emit(opts, "ci_coverage", &c, validation::format_coverage(&c))?;
-            let d = validation::batch_diagnostics(opts.scale);
-            emit(
-                opts,
-                "batch_diagnostics",
-                &d,
-                validation::format_diagnostics(&d),
-            )?;
+            emit(opts, "coherence", &c, coherence::format(&c))
         }
         "protocols" => {
             // One row per simulated protocol: slug, family name, and the
@@ -405,71 +438,46 @@ fn run(opts: &Options) -> Result<(), String> {
                     .map_or_else(|| "-".to_string(), |l| l.width().to_string());
                 println!("{:<14} {:<16} {lines}", protocol_slug(kind), arbiter.name());
             }
+            Ok(())
         }
-        "cell" => {
-            let format = opts.trace_format;
-            let path = opts.trace.clone().unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("busarb-cell-{}.{format}", std::process::id()))
-            });
-            eprintln!("tracing the pinned cell to {}", path.display());
-            let live = observe::run_pinned(opts.scale, Some((&path, format)));
-            println!("live     {live}");
-            let analysis = busarb_tail::analyze_path(&path)
-                .map_err(|e| format!("cannot replay {}: {e}", path.display()))?;
-            let text = analysis.render_text().trim_end().to_string();
-            emit(opts, "cell_analysis", &analysis, text)?;
-            observe::cross_check(&live, &analysis.protocol, &analysis.replay).map_err(|diffs| {
-                // One line, machine-grepable: count first, then every
-                // differing aggregate as `field: live X vs replayed Y`.
-                format!(
-                    "round-trip MISMATCH: {} aggregate(s) differ: {}",
-                    diffs.len(),
-                    diffs.join("; ")
-                )
-            })?;
-            println!("round-trip OK: replayed aggregates match the live run");
-        }
-        "tolerance" => tolerance(opts)?,
-        "all" => {
-            eprintln!("computing the shared simulation grid...");
-            let grid = Grid::compute(opts.scale);
-            let t1 = table4_1::from_grid(&grid);
-            emit(opts, "table4_1", &t1, table4_1::format(&t1))?;
-            let t2 = table4_2::from_grid(&grid);
-            emit(opts, "table4_2", &t2, table4_2::format(&t2))?;
-            let f = figure4_1::from_grid(&grid);
-            emit(opts, "figure4_1", &f, figure4_1::format(&f))?;
-            let t3 = table4_3::from_grid(&grid);
-            emit(opts, "table4_3", &t3, table4_3::format(&t3))?;
-            let t4 = table4_4::run(opts.scale);
-            emit(opts, "table4_4", &t4, table4_4::format(&t4))?;
-            let t5 = table4_5::run(opts.scale);
-            emit(opts, "table4_5", &t5, table4_5::format(&t5))?;
-            for ablation in ablations::all(opts.scale) {
-                run_ablation(opts, &ablation)?;
-            }
-            let t = tails::run(opts.scale);
-            emit(opts, "tails", &t, tails::format(&t))?;
-            let b = bursty::run(opts.scale);
-            emit(opts, "bursty", &b, bursty::format(&b))?;
-            let w = worst_case_fcfs::run(opts.scale);
-            emit(opts, "worst_case_fcfs", &w, worst_case_fcfs::format(&w))?;
-            let p = priority_study::run(opts.scale);
-            emit(opts, "priority_study", &p, priority_study::format(&p))?;
-            let sc = scaling::run(opts.scale);
-            emit(opts, "scaling", &sc, scaling::format(&sc))?;
-            let c = validation::ci_coverage(opts.scale, 40);
-            emit(opts, "ci_coverage", &c, validation::format_coverage(&c))?;
-            let d = validation::batch_diagnostics(opts.scale);
-            emit(
-                opts,
-                "batch_diagnostics",
-                &d,
-                validation::format_diagnostics(&d),
-            )?;
-        }
-        other => return Err(format!("unknown command '{other}'\n{}", usage())),
+        "cell" => cell(opts),
+        "tolerance" => tolerance(opts),
+        command => match REPORTS.iter().find(|(name, _)| *name == command) {
+            Some((_, report)) => report(opts, None),
+            None => Err(format!("unknown command '{command}'\n{}", usage())),
+        },
     }
+}
+
+/// Runs the pinned traced cell, analyzes its export, and cross-checks
+/// the replayed aggregates against the live run.
+///
+/// # Errors
+///
+/// Returns a one-line message when the export cannot be read or written,
+/// or when any aggregate differs.
+fn cell(opts: &Options) -> Result<(), String> {
+    let format = opts.trace_format;
+    let path = opts.trace.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("busarb-cell-{}.{format}", std::process::id()))
+    });
+    eprintln!("tracing the pinned cell to {}", path.display());
+    let live = observe::run_pinned(opts.scale, Some((&path, format)));
+    println!("live     {live}");
+    let analysis = busarb_tail::analyze_path(&path)
+        .map_err(|e| format!("cannot replay {}: {e}", path.display()))?;
+    let text = analysis.render_text().trim_end().to_string();
+    emit(opts, "cell_analysis", &analysis, text)?;
+    observe::cross_check(&live, &analysis.protocol, &analysis.replay).map_err(|diffs| {
+        // One line, machine-grepable: count first, then every
+        // differing aggregate as `field: live X vs replayed Y`.
+        format!(
+            "round-trip MISMATCH: {} aggregate(s) differ: {}",
+            diffs.len(),
+            diffs.join("; ")
+        )
+    })?;
+    println!("round-trip OK: replayed aggregates match the live run");
     Ok(())
 }
 

@@ -53,7 +53,7 @@ impl Grid {
         Grid { cells, scale }
     }
 
-    /// Runs a single cell (used by benches to bound work).
+    /// Runs a single cell (Figure 4.1 alone needs only one).
     #[must_use]
     pub fn compute_cell(n: u32, load: f64, scale: Scale) -> GridCell {
         let scenario = Scenario::equal_load(n, load, 1.0).expect("valid equal-load scenario");
