@@ -165,8 +165,9 @@ mod tests {
                 std::process::id()
             ));
             let live = run_pinned(Scale::Smoke, Some((&path, format)));
-            let analysis = busarb_tail::analyze_path(&path).expect("export is readable");
+            let analysis = busarb_tail::analyze_path(&path);
             std::fs::remove_file(&path).ok();
+            let analysis = analysis.expect("export is readable");
             cross_check(&live, &analysis.protocol, &analysis.replay).unwrap_or_else(|diffs| {
                 panic!("{format} round-trip mismatch: {}", diffs.join("; "));
             });
