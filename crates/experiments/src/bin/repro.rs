@@ -458,14 +458,26 @@ fn run(opts: &Options) -> Result<(), String> {
 /// or when any aggregate differs.
 fn cell(opts: &Options) -> Result<(), String> {
     let format = opts.trace_format;
-    let path = opts.trace.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("busarb-cell-{}.{format}", std::process::id()))
-    });
+    // A `--trace` file is the user's: it is kept and reported as given.
+    // Without one the export is a temporary file, deleted on every exit
+    // path, and the report names it without the pid so that identical
+    // runs print identical reports.
+    let (path, temp) = match &opts.trace {
+        Some(path) => (path.clone(), None),
+        None => {
+            let name = format!("busarb-cell-{}.{format}", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            (path.clone(), Some(TempExport(path)))
+        }
+    };
     eprintln!("tracing the pinned cell to {}", path.display());
     let live = observe::run_pinned(opts.scale, Some((&path, format)));
     println!("live     {live}");
-    let analysis = busarb_tail::analyze_path(&path)
+    let mut analysis = busarb_tail::analyze_path(&path)
         .map_err(|e| format!("cannot replay {}: {e}", path.display()))?;
+    if temp.is_some() {
+        analysis.source = format!("busarb-cell.{format}");
+    }
     let text = analysis.render_text().trim_end().to_string();
     emit(opts, "cell_analysis", &analysis, text)?;
     observe::cross_check(&live, &analysis.protocol, &analysis.replay).map_err(|diffs| {
@@ -479,6 +491,16 @@ fn cell(opts: &Options) -> Result<(), String> {
     })?;
     println!("round-trip OK: replayed aggregates match the live run");
     Ok(())
+}
+
+/// A temporary file, deleted when this guard drops.
+struct TempExport(PathBuf);
+
+impl Drop for TempExport {
+    fn drop(&mut self) {
+        // Nothing is left to delete when the run failed before export.
+        let _ = fs::remove_file(&self.0);
+    }
 }
 
 /// Writes the `--metrics` export, if one was asked for.

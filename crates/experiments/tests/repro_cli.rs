@@ -66,3 +66,44 @@ fn bad_invocations_exit_1_with_an_error_line() {
         assert!(out.stdout.is_empty(), "{args:?} ran");
     }
 }
+
+/// `repro cell` without `--trace` exports to a temporary file: it must
+/// delete it, and name it in the report without the pid, so that two
+/// identical runs print the same text and write the same JSON. A
+/// `--trace` file is kept and reported as given.
+#[test]
+fn cell_is_reproducible_and_cleans_up_its_temporary_export() {
+    let root = std::env::temp_dir().join(format!("busarb-repro-cell-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let tmp = root.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let run = |extra: &[&str], json: &str| {
+        let json = root.join(json);
+        let mut args = vec!["--scale", "smoke", "--json", json.to_str().expect("utf-8")];
+        args.extend_from_slice(extra);
+        args.push("cell");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("TMPDIR", &tmp)
+            .args(&args)
+            .output()
+            .expect("repro starts");
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let report = std::fs::read(json.join("cell_analysis.json")).expect("cell_analysis.json");
+        (out.stdout, report)
+    };
+
+    let first = run(&[], "a");
+    let second = run(&[], "b");
+    assert!(first == second, "two identical runs differ");
+    let text = String::from_utf8_lossy(&first.0);
+    assert!(text.contains("busarb-cell.jsonl"), "{text}");
+    let left: Vec<_> = std::fs::read_dir(&tmp).expect("read temp dir").collect();
+    assert!(left.is_empty(), "temporary export left behind: {left:?}");
+
+    let kept = root.join("kept.btrc");
+    let kept_str = kept.to_str().expect("utf-8");
+    let (stdout, _) = run(&["--trace", kept_str, "--trace-format", "binary"], "c");
+    assert!(kept.is_file(), "--trace file was deleted");
+    assert!(String::from_utf8_lossy(&stdout).contains(kept_str));
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -104,6 +104,8 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         root("crates/obs/src/registry.rs", None, "on_coherence"),
         root("crates/obs/src/registry.rs", None, "on_invalidation"),
         root("crates/obs/src/metrics.rs", None, "record"),
+        // Binary trace decoding: once per record read back.
+        root("crates/obs/src/stream.rs", None, "decode_record"),
         // Streaming analyzers: once per trace event.
         root("crates/tail/src/usage.rs", None, "push"),
         root("crates/tail/src/usage.rs", None, "account"),

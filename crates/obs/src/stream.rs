@@ -7,9 +7,10 @@
 //! streaming sibling: it auto-detects the framing from the first four
 //! bytes, parses the self-describing header up front, and then yields
 //! one event at a time from a fixed-size internal buffer. Peak memory is
-//! independent of trace length (the JSONL path caps line length at
-//! [`MAX_LINE_BYTES`]; the binary path reads fixed-layout records into a
-//! 20-byte scratch buffer).
+//! independent of trace length: the JSONL path caps line length at
+//! [`MAX_LINE_BYTES`], and the binary path decodes each fixed-layout
+//! record in place from the read buffer, copying into a
+//! [`RECORD_MAX`]-byte scratch only a record that straddles a refill.
 //!
 //! Failures are *structured*: every error is a [`StreamError`] carrying
 //! the byte offset at which the malformed input was detected (and the
@@ -92,7 +93,8 @@ pub fn stream_error(e: &io::Error) -> Option<&StreamError> {
 /// The framing (JSONL or `BTRC` binary) is auto-detected from the first
 /// four bytes; the header is parsed eagerly by [`TraceReader::new`], and
 /// events are then pulled one at a time — via [`next_event`] or the
-/// [`Iterator`] impl — without ever buffering more than one record.
+/// [`Iterator`] impl — through a fixed-size read buffer (the
+/// `BufReader` default, 8 KiB), so memory does not grow with the trace.
 ///
 /// [`next_event`]: TraceReader::next_event
 #[derive(Debug)]
@@ -106,6 +108,8 @@ pub struct TraceReader<R: Read> {
     line: u64,
     /// Reusable line buffer (JSONL framing).
     buf: Vec<u8>,
+    /// A binary record that straddles a buffer refill, stitched whole.
+    scratch: [u8; RECORD_MAX],
     /// Set once end-of-stream or an error has been reached.
     done: bool,
 }
@@ -181,6 +185,7 @@ impl<R: Read> TraceReader<R> {
             offset,
             line: 0,
             buf: Vec::new(),
+            scratch: [0; RECORD_MAX],
             done: false,
         })
     }
@@ -205,6 +210,7 @@ impl<R: Read> TraceReader<R> {
             offset: prefix.len() as u64,
             line: 0,
             buf: prefix.to_vec(),
+            scratch: [0; RECORD_MAX],
             done: false,
         };
         let line_start = 0;
@@ -322,79 +328,62 @@ impl<R: Read> TraceReader<R> {
 
     fn next_binary(&mut self) -> Result<Option<TraceEvent>, StreamError> {
         let record_start = self.offset;
-        let mut tag = [0u8; 1];
-        match read_up_to(&mut self.input, &mut tag) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(e) => {
-                return Err(StreamError::new(
-                    record_start,
-                    None,
-                    format!("cannot read trace: {e}"),
-                ))
-            }
-        }
-        let tag = tag[0];
-        // Per-tag body length (after the tag byte): `at` + agent for
-        // every kind, plus an extra f64 for arbitration/completion
-        // records or an op byte + u32 count for coherence records.
-        let body_len = match tag {
-            TAG_REQUEST | TAG_TRANSFER => 12,
-            TAG_ARBITRATION | TAG_END => 20,
-            TAG_COHERENCE => 17,
-            other => {
-                return Err(StreamError::new(
-                    record_start,
-                    None,
-                    format!("unknown binary record tag {other}"),
-                ))
-            }
+        let agents = self.header.agents;
+        let (decoded, len) = if let Some(record) = self.input.buffer().first_chunk() {
+            // The common case: the whole record is buffered, so it is
+            // decoded where it lies.
+            let len = record_len(record[0]).map_err(|e| e.at(record_start))?;
+            let decoded = decode_record(record, agents);
+            self.input.consume(len);
+            (decoded, len)
+        } else {
+            let Some(len) = self.stitch_record()? else {
+                return Ok(None);
+            };
+            (decode_record(&self.scratch, agents), len)
         };
-        let mut fixed = [0u8; 20];
-        self.input.read_exact(&mut fixed[..body_len]).map_err(|_| {
-            StreamError::new(
-                record_start,
-                None,
-                "truncated binary record (stream ends mid-record)",
-            )
-        })?;
-        let position = |msg: String| StreamError::new(record_start, None, msg);
-        let at = finite_time(
-            f64::from_le_bytes(fixed[..8].try_into().expect("8-byte slice")),
-            "timestamp",
-        )
-        .map_err(position)?;
-        let raw_agent = u32::from_le_bytes(fixed[8..12].try_into().expect("4-byte slice"));
-        let agent = AgentId::try_from_raw(raw_agent, self.header.agents).map_err(|e| {
-            StreamError::new(record_start, None, format!("bad agent identity: {e}"))
-        })?;
-        let extra_f64 = || f64::from_le_bytes(fixed[12..20].try_into().expect("8-byte slice"));
-        let kind = match tag {
-            TAG_REQUEST => TraceKind::Request { agent },
-            TAG_ARBITRATION => TraceKind::ArbitrationStart {
-                winner: agent,
-                completes: finite_time(extra_f64(), "completion time").map_err(position)?,
-            },
-            TAG_TRANSFER => TraceKind::TransferStart { agent },
-            TAG_END => TraceKind::TransferEnd {
-                agent,
-                wait: finite_duration(extra_f64(), "wait").map_err(position)?,
-            },
-            _ => {
-                // TAG_COHERENCE (any other tag was rejected above).
-                let op = coherence_op_from_code(fixed[12])
-                    .ok_or_else(|| position(format!("unknown coherence op code {}", fixed[12])))?;
-                let invalidated =
-                    u32::from_le_bytes(fixed[13..17].try_into().expect("4-byte slice"));
-                TraceKind::Coherence {
-                    agent,
-                    op,
-                    invalidated,
+        let event = decoded.map_err(|e| e.at(record_start))?;
+        self.offset = record_start + len as u64;
+        Ok(Some(event))
+    }
+
+    /// Copies the next binary record into `scratch` across however many
+    /// buffer refills it spans, consuming it, and returns its length;
+    /// `Ok(None)` at a clean end of stream.
+    fn stitch_record(&mut self) -> Result<Option<usize>, StreamError> {
+        let record_start = self.offset;
+        let mut filled = 0;
+        // The tag byte first; once it names the kind, the whole record.
+        let mut len = 1;
+        while filled < len {
+            let buf = match self.input.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if filled == 0 => {
+                    return Err(StreamError::new(
+                        record_start,
+                        None,
+                        format!("cannot read trace: {e}"),
+                    ))
                 }
+                Err(_) => return Err(RecordError::Truncated.at(record_start)),
+            };
+            if buf.is_empty() {
+                return if filled == 0 {
+                    Ok(None)
+                } else {
+                    Err(RecordError::Truncated.at(record_start))
+                };
             }
-        };
-        self.offset = record_start + 1 + body_len as u64;
-        Ok(Some(TraceEvent { at, kind }))
+            let n = buf.len().min(len - filled);
+            self.scratch[filled..filled + n].copy_from_slice(&buf[..n]);
+            self.input.consume(n);
+            if filled == 0 {
+                len = record_len(self.scratch[0]).map_err(|e| e.at(record_start))?;
+            }
+            filled += n;
+        }
+        Ok(Some(len))
     }
 }
 
@@ -442,19 +431,124 @@ fn parse_header(text: &str, offset: u64, line: Option<u64>) -> Result<TraceHeade
         .map_err(|e| StreamError::new(offset, line, format!("bad header: {e}")))
 }
 
+/// Longest binary record, tag byte included: arbitration-start and
+/// transfer-end records carry an f64 payload after the tag, `at` and
+/// agent.
+const RECORD_MAX: usize = 21;
+
+/// Why one binary record (or one JSONL field) failed validation.
+///
+/// `Copy` and allocation-free, so the per-record decode formats nothing;
+/// the message is rendered once, when a bad trace is reported.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RecordError {
+    UnknownTag(u8),
+    Truncated,
+    NonFiniteOrNegative { what: &'static str, value: f64 },
+    BadAgent { raw: u32, agents: u32 },
+    UnknownOp(u8),
+}
+
+impl RecordError {
+    /// The structured error for a binary record starting at `offset`.
+    fn at(self, offset: u64) -> StreamError {
+        StreamError::new(offset, None, self.to_string())
+    }
+}
+
+impl core::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            RecordError::UnknownTag(tag) => write!(f, "unknown binary record tag {tag}"),
+            RecordError::Truncated => {
+                f.write_str("truncated binary record (stream ends mid-record)")
+            }
+            RecordError::NonFiniteOrNegative { what, value } => {
+                write!(f, "non-finite or negative {what} {value}")
+            }
+            RecordError::BadAgent { raw, agents } => {
+                // The complaint `AgentId::try_from_raw` would make.
+                let why = if raw == 0 {
+                    busarb_types::Error::ZeroAgentId
+                } else {
+                    busarb_types::Error::AgentOutOfRange { id: raw, agents }
+                };
+                write!(f, "bad agent identity: {why}")
+            }
+            RecordError::UnknownOp(code) => write!(f, "unknown coherence op code {code}"),
+        }
+    }
+}
+
+impl From<RecordError> for String {
+    fn from(e: RecordError) -> Self {
+        e.to_string()
+    }
+}
+
+/// Total length of a binary record by tag: `at` + agent for every kind,
+/// plus an f64 for arbitration/completion records or an op byte + u32
+/// count for coherence records.
+fn record_len(tag: u8) -> Result<usize, RecordError> {
+    match tag {
+        TAG_REQUEST | TAG_TRANSFER => Ok(13),
+        TAG_ARBITRATION | TAG_END => Ok(RECORD_MAX),
+        TAG_COHERENCE => Ok(18),
+        other => Err(RecordError::UnknownTag(other)),
+    }
+}
+
+/// `N` bytes of `record` starting at `at`.
+fn bytes_at<const N: usize>(record: &[u8; RECORD_MAX], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&record[at..at + N]);
+    out
+}
+
+/// Decodes one binary record from the first [`RECORD_MAX`] bytes at its
+/// start (`record[0]` is the tag; bytes past the record's own length are
+/// ignored), validating every field against a roster of `agents`.
+fn decode_record(record: &[u8; RECORD_MAX], agents: u32) -> Result<TraceEvent, RecordError> {
+    let at = finite_time(f64::from_le_bytes(bytes_at(record, 1)), "timestamp")?;
+    let raw = u32::from_le_bytes(bytes_at(record, 9));
+    let agent =
+        AgentId::try_from_raw(raw, agents).map_err(|_| RecordError::BadAgent { raw, agents })?;
+    let extra_f64 = || f64::from_le_bytes(bytes_at(record, 13));
+    let kind = match record[0] {
+        TAG_REQUEST => TraceKind::Request { agent },
+        TAG_ARBITRATION => TraceKind::ArbitrationStart {
+            winner: agent,
+            completes: finite_time(extra_f64(), "completion time")?,
+        },
+        TAG_TRANSFER => TraceKind::TransferStart { agent },
+        TAG_END => TraceKind::TransferEnd {
+            agent,
+            wait: finite_duration(extra_f64(), "wait")?,
+        },
+        TAG_COHERENCE => TraceKind::Coherence {
+            agent,
+            op: coherence_op_from_code(record[13]).ok_or(RecordError::UnknownOp(record[13]))?,
+            invalidated: u32::from_le_bytes(bytes_at(record, 14)),
+        },
+        other => return Err(RecordError::UnknownTag(other)),
+    };
+    Ok(TraceEvent { at, kind })
+}
+
 /// Validates a trace duration: finite and non-negative (negative zero
 /// is allowed — it compares equal to zero). Rejecting here turns what
 /// would be a release-mode silent saturation (or debug-mode panic)
 /// inside [`Time`] into a structured parse error with a byte offset.
-fn finite_duration(value: f64, what: &str) -> Result<f64, String> {
-    if value.is_nan() || value.is_infinite() || value < 0.0 {
-        return Err(format!("non-finite or negative {what} {value}"));
+fn finite_duration(value: f64, what: &'static str) -> Result<f64, RecordError> {
+    if (0.0..f64::INFINITY).contains(&value) {
+        Ok(value)
+    } else {
+        Err(RecordError::NonFiniteOrNegative { what, value })
     }
-    Ok(value)
 }
 
 /// Validates and converts a trace timestamp to [`Time`].
-fn finite_time(value: f64, what: &str) -> Result<Time, String> {
+fn finite_time(value: f64, what: &'static str) -> Result<Time, RecordError> {
     finite_duration(value, what).map(Time::saturating)
 }
 

@@ -29,7 +29,7 @@ use busarb_types::{TraceEvent, TraceKind};
 use serde::Serialize;
 
 /// A named scalar in an [`AdapterReport`].
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AdapterMetric {
     /// Metric name (stable, snake_case).
     pub name: String,
@@ -38,7 +38,7 @@ pub struct AdapterMetric {
 }
 
 /// Frozen results of a protocol adapter.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AdapterReport {
     /// Adapter family: `rr-rotation`, `fcfs-lag`, or `assured-bypass`.
     pub adapter: String,
@@ -154,29 +154,36 @@ impl ProtocolAdapter for RrRotation {
     }
 }
 
+/// Arrival sequence number of an agent with no pending request. It is
+/// larger than every real sequence number, so "pending and older than
+/// `seq`" is the single compare `slot < seq`.
+const NOT_PENDING: u64 = u64::MAX;
+
 /// Shared arrival-order bookkeeping for the FIFO-deviation adapters.
 ///
 /// One outstanding request per agent (the bus model guarantees an agent
-/// cannot re-request before its transfer completes), so a fixed
-/// per-agent slot of arrival sequence numbers suffices: O(agents)
-/// memory, O(agents) work per grant, no allocation.
+/// cannot re-request before its transfer completes), so one dense word
+/// per agent suffices: its pending request's arrival sequence number, or
+/// [`NOT_PENDING`]. O(agents) memory, no allocation, and the per-grant
+/// scan is a compare-and-add over contiguous words with no branch per
+/// agent, which the compiler can vectorise.
 #[derive(Clone, Debug)]
 struct ArrivalOrder {
     next_seq: u64,
-    pending_seq: Vec<Option<u64>>,
+    pending_seq: Vec<u64>,
 }
 
 impl ArrivalOrder {
     fn new(agents: u32) -> Self {
         ArrivalOrder {
             next_seq: 0,
-            pending_seq: vec![None; agents as usize],
+            pending_seq: vec![NOT_PENDING; agents as usize],
         }
     }
 
     fn on_request(&mut self, agent_index: usize) {
         if let Some(slot) = self.pending_seq.get_mut(agent_index) {
-            *slot = Some(self.next_seq);
+            *slot = self.next_seq;
             self.next_seq += 1;
         }
     }
@@ -184,15 +191,17 @@ impl ArrivalOrder {
     /// Retires the winner's pending request and returns its arrival
     /// sequence number, if the trace recorded one.
     fn on_grant(&mut self, agent_index: usize) -> Option<u64> {
-        self.pending_seq.get_mut(agent_index)?.take()
+        let slot = self.pending_seq.get_mut(agent_index)?;
+        let seq = core::mem::replace(slot, NOT_PENDING);
+        (seq != NOT_PENDING).then_some(seq)
     }
 
     /// Number of still-pending requests older than `seq`.
     fn older_than(&self, seq: u64) -> u64 {
         self.pending_seq
             .iter()
-            .filter(|s| matches!(s, Some(other) if *other < seq))
-            .count() as u64
+            .map(|&other| u64::from(other < seq))
+            .sum()
     }
 }
 
@@ -318,11 +327,10 @@ impl ProtocolAdapter for BypassCounts {
                     return;
                 };
                 let mut bypassed_here = 0u64;
-                for (idx, slot) in self.order.pending_seq.iter().enumerate() {
-                    if matches!(slot, Some(other) if *other < seq) {
-                        self.bypassed[idx] += 1;
-                        bypassed_here += 1;
-                    }
+                for (count, &other) in self.bypassed.iter_mut().zip(&self.order.pending_seq) {
+                    let older = u64::from(other < seq);
+                    *count += older;
+                    bypassed_here += older;
                 }
                 self.bypassed_per_grant.record(bypassed_here as f64);
                 if bypassed_here > 0 {
@@ -368,6 +376,7 @@ impl ProtocolAdapter for BypassCounts {
 mod tests {
     use super::*;
     use busarb_types::{AgentId, Time};
+    use proptest::prelude::*;
 
     fn req(at: f64, agent: u32) -> TraceEvent {
         TraceEvent {
@@ -466,6 +475,141 @@ mod tests {
         for (slug, family) in families {
             let r = adapter_for(slug, 2).report();
             assert_eq!(r.adapter, family, "slug {slug}");
+        }
+    }
+
+    /// Reference model of the arrival-order scan: one `Option` per
+    /// agent, `None` when nothing is pending, and a branch per agent.
+    struct OptionOrder {
+        next_seq: u64,
+        pending: Vec<Option<u64>>,
+    }
+
+    impl OptionOrder {
+        fn request(&mut self, idx: usize) {
+            if let Some(slot) = self.pending.get_mut(idx) {
+                *slot = Some(self.next_seq);
+                self.next_seq += 1;
+            }
+        }
+
+        /// Retires the winner's request and returns the agents whose
+        /// older requests it overtook; `None` when none was recorded.
+        fn grant(&mut self, idx: usize) -> Option<Vec<usize>> {
+            let seq = self.pending.get_mut(idx)?.take()?;
+            let older = |i: &usize| matches!(self.pending[*i], Some(other) if other < seq);
+            Some((0..self.pending.len()).filter(older).collect())
+        }
+    }
+
+    fn metric(name: &str, value: f64) -> AdapterMetric {
+        AdapterMetric {
+            name: name.to_string(),
+            value,
+        }
+    }
+
+    /// The `fcfs-lag` and `assured-bypass` reports, folded from the
+    /// reference model by the metric definitions in the adapters' docs.
+    fn model_reports(agents: u32, events: &[TraceEvent]) -> [AdapterReport; 2] {
+        let n = agents as usize;
+        let mut order = OptionOrder {
+            next_seq: 0,
+            pending: vec![None; n],
+        };
+        let mut lags = LogHistogram::new();
+        let (mut overtaking_by, mut bypassed) = (vec![0; n], vec![0; n]);
+        let (mut grants, mut in_order, mut max_lag, mut bypass_events) = (0u64, 0u64, 0u64, 0u64);
+        for event in events {
+            match event.kind {
+                TraceKind::Request { agent } => order.request(agent.index()),
+                TraceKind::ArbitrationStart { winner, .. } => {
+                    grants += 1;
+                    let Some(older) = order.grant(winner.index()) else {
+                        continue;
+                    };
+                    let lag = older.len() as u64;
+                    lags.record(lag as f64);
+                    if lag == 0 {
+                        in_order += 1;
+                    } else {
+                        overtaking_by[winner.index()] += 1;
+                        max_lag = max_lag.max(lag);
+                        bypass_events += 1;
+                    }
+                    for i in older {
+                        bypassed[i] += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let measured = lags.count();
+        let histogram = HistogramSnapshot::of(&lags);
+        let in_order_fraction = if measured == 0 {
+            1.0
+        } else {
+            in_order as f64 / measured as f64
+        };
+        let bypass_fraction = if grants == 0 {
+            0.0
+        } else {
+            bypass_events as f64 / grants as f64
+        };
+        [
+            AdapterReport {
+                adapter: "fcfs-lag".to_string(),
+                metrics: vec![
+                    metric("in_order_fraction", in_order_fraction),
+                    metric("max_lag", max_lag as f64),
+                    metric("mean_lag", lags.mean()),
+                ],
+                counts_label: "out-of-order grants per agent".to_string(),
+                counts: overtaking_by,
+                histogram: histogram.clone(),
+            },
+            AdapterReport {
+                adapter: "assured-bypass".to_string(),
+                metrics: vec![
+                    metric("bypass_events", bypass_events as f64),
+                    metric("bypassed_total", bypassed.iter().sum::<u64>() as f64),
+                    metric("bypass_fraction", bypass_fraction),
+                ],
+                counts_label: "times each agent was bypassed".to_string(),
+                counts: bypassed,
+                histogram,
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The dense scan reports exactly what the `Option` model does,
+        /// on streams with repeated requests and with grants whose
+        /// request the trace never recorded (a trace cut mid-run).
+        #[test]
+        fn dense_arrival_scan_matches_the_option_model(
+            agents in prop::sample::select(vec![1u32, 2, 5, 64, 128]),
+            steps in prop::collection::vec((any::<bool>(), any::<u32>()), 0..600),
+        ) {
+            let events: Vec<TraceEvent> = steps
+                .iter()
+                .enumerate()
+                .map(|(t, &(is_grant, raw))| {
+                    let agent = 1 + raw % agents;
+                    if is_grant { grant(t as f64, agent) } else { req(t as f64, agent) }
+                })
+                .collect();
+            let mut fcfs = FcfsLag::new(agents);
+            let mut bypass = BypassCounts::new(agents);
+            for e in &events {
+                fcfs.on_event(e);
+                bypass.on_event(e);
+            }
+            let [fcfs_model, bypass_model] = model_reports(agents, &events);
+            prop_assert_eq!(fcfs.report(), fcfs_model);
+            prop_assert_eq!(bypass.report(), bypass_model);
         }
     }
 }

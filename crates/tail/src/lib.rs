@@ -5,11 +5,12 @@
 //! story — a bounded-memory analytics engine that consumes those traces
 //! incrementally, in either framing (JSONL or BTRC binary,
 //! auto-detected), without ever materializing the event list. Traces
-//! from production-scale runs are far larger than RAM; every analyzer
-//! here keeps state that is O(agents + histogram buckets), so peak
-//! memory is independent of trace length and throughput is bounded by
-//! parsing, not analysis (the benchmark's `trace-roundtrip` workload
-//! measures it: `obs.stream`, `obs.replay` and `tail.*` per event).
+//! from production-scale runs are far larger than RAM; the reader
+//! decodes binary records in place from a fixed-size read buffer, and
+//! every analyzer here keeps state that is O(agents + histogram
+//! buckets), so peak memory is independent of trace length. The
+//! benchmark's `trace-roundtrip` workload times each stage per event
+//! (`obs.stream`, `obs.replay` and `tail.*`).
 //!
 //! A [`Pipeline`] fans each decoded event out to four analyzers:
 //!

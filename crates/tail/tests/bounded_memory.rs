@@ -3,7 +3,8 @@
 //!
 //! The central guarantee of `busarb analyze` is that
 //! peak memory is *independent of trace length* — the analyzers hold
-//! O(agents + buckets) state and the readers buffer one record. Rather
+//! O(agents + buckets) state and the reader decodes records in place
+//! from a fixed-size read buffer. Rather
 //! than spot-checking RSS (noisy, allocator-dependent), this test swaps
 //! in a global allocator that tracks live bytes and their high-water
 //! mark, synthesizes BTRC streams of two very different lengths on the

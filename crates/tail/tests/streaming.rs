@@ -232,3 +232,165 @@ fn empty_and_headerless_files_error_cleanly() {
     assert_eq!(stream.offset, 0);
     assert!(stream.message.contains("empty"), "{stream}");
 }
+
+// ---------------------------------------------------------------------
+// Records that straddle reader refills.
+// ---------------------------------------------------------------------
+
+/// The reader's buffer capacity (`BufReader`'s default).
+const READ_BUFFER: usize = 8 * 1024;
+
+/// A `Read` that hands out at most one of `sizes` (cycled) bytes per
+/// call, so nearly every record arrives split across buffer refills.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [usize],
+    calls: usize,
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.calls % self.sizes.len()];
+        self.calls += 1;
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Every event a reader yields, then the error that stopped it, if any.
+fn read_all<R: std::io::Read>(input: R) -> (Vec<TraceEvent>, Option<busarb_obs::StreamError>) {
+    let mut reader = TraceReader::new(input).unwrap();
+    let mut events = Vec::new();
+    loop {
+        match reader.next_event() {
+            Ok(Some(e)) => events.push(e),
+            Ok(None) => return (events, None),
+            Err(e) => return (events, Some(e)),
+        }
+    }
+}
+
+/// `len` pseudo-random events of every kind, coherence included, over
+/// an `agents`-agent roster.
+fn every_kind_events(seed: u64, len: usize, agents: u32) -> Vec<TraceEvent> {
+    use busarb_types::CoherenceOp;
+    let mut x = seed | 1;
+    let mut t = 0.0f64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t += (x % 97) as f64 / 16.0;
+            let agent = AgentId::new(1 + (x >> 8) as u32 % agents).unwrap();
+            let kind = match (x >> 40) % 5 {
+                0 => TraceKind::Request { agent },
+                1 => TraceKind::ArbitrationStart {
+                    winner: agent,
+                    completes: Time::from(t + 0.5),
+                },
+                2 => TraceKind::TransferStart { agent },
+                3 => TraceKind::TransferEnd {
+                    agent,
+                    wait: (x >> 20) as f64 / 1e6,
+                },
+                _ => TraceKind::Coherence {
+                    agent,
+                    op: [
+                        CoherenceOp::ReadMiss,
+                        CoherenceOp::WriteMiss,
+                        CoherenceOp::Upgrade,
+                    ][(x >> 50) as usize % 3],
+                    invalidated: (x >> 32) as u32 % 128,
+                },
+            };
+            TraceEvent {
+                at: Time::from(t),
+                kind,
+            }
+        })
+        .collect()
+}
+
+/// Byte offset and length of every binary record, computed from the
+/// layout independently of the reader.
+fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let header_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+    let mut at = 9 + header_len;
+    let mut spans = Vec::new();
+    while at < bytes.len() {
+        let len = match bytes[at] {
+            1 | 3 => 21,
+            4 => 18,
+            _ => 13,
+        };
+        spans.push((at, len));
+        at += len;
+    }
+    spans
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A reader fed 1..=23 bytes per call yields exactly the events of a
+    /// whole-slice read over streams longer than three buffer
+    /// capacities; and a record corrupted or cut where the slice
+    /// reader's buffer refills fails both reads with the same error.
+    #[test]
+    fn records_straddling_refills_decode_like_a_whole_slice_read(
+        seed in any::<u64>(),
+        len in 1700usize..2600,
+        agents in 1u32..=128,
+        sizes in proptest::collection::vec(1usize..=23, 1..32),
+        boundary in 1usize..=3,
+        corruption in 0usize..4,
+    ) {
+        let h = header("fcfs-2", agents, 0);
+        let events = every_kind_events(seed, len, agents);
+        let bytes = encode_binary(&h, &events);
+        prop_assert!(bytes.len() > 3 * READ_BUFFER);
+
+        let (whole, err) = read_all(&bytes[..]);
+        prop_assert!(err.is_none(), "{:?}", err);
+        prop_assert_eq!(&whole, &events);
+        let (dribbled, err) = read_all(Dribble { bytes: &bytes, sizes: &sizes, calls: 0 });
+        prop_assert!(err.is_none(), "{:?}", err);
+        prop_assert_eq!(&dribbled, &events);
+
+        // The record holding the slice reader's `boundary`-th refill.
+        let refill = boundary * READ_BUFFER;
+        let spans = record_spans(&bytes);
+        let index = spans.iter().position(|&(at, len)| refill < at + len).unwrap();
+        let (start, len) = spans[index];
+        let mut bad = bytes.clone();
+        let fragment = match corruption {
+            0 => {
+                bad[start] = 9;
+                "unknown binary record tag 9"
+            }
+            1 => {
+                bad[start + 9..start + 13].fill(0);
+                "bad agent identity"
+            }
+            2 => {
+                bad[start + 1..start + 9].copy_from_slice(&f64::NAN.to_le_bytes());
+                "non-finite or negative timestamp"
+            }
+            _ => {
+                bad.truncate(refill.max(start + 1).min(start + len - 1));
+                "truncated binary record"
+            }
+        };
+        let (whole, whole_err) = read_all(&bad[..]);
+        let (dribbled, dribbled_err) = read_all(Dribble { bytes: &bad, sizes: &sizes, calls: 0 });
+        let whole_err = whole_err.expect("the corrupt record fails the slice read");
+        prop_assert_eq!(whole_err.offset, start as u64);
+        prop_assert!(whole_err.message.contains(fragment), "{}", whole_err);
+        prop_assert_eq!(Some(whole_err), dribbled_err);
+        prop_assert_eq!(&whole, &events[..index]);
+        prop_assert_eq!(&dribbled, &events[..index]);
+    }
+}
