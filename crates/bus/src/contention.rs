@@ -61,8 +61,9 @@ pub struct Resolution {
 ///
 /// Taub proved a bound of k/2 end-to-end propagation delays for the analog,
 /// worst-case-placement formulation; the synchronous model used here
-/// settles in at most k rounds (measured distributions are far smaller —
-/// see the `settle_rounds` bench).
+/// settles in at most k + 1 rounds, counting the initial application (the
+/// bound `rounds_bounded_by_width` and the `settle_round_bound` property
+/// test check). `bench_run`'s `settle_by_width` rows time the settle.
 ///
 /// # Examples
 ///

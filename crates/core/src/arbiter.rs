@@ -243,6 +243,17 @@ impl ProtocolKind {
         }
     }
 
+    /// Whether the arbiter [`ProtocolKind::build`] and
+    /// [`ProtocolKind::visit`] make for this kind admits more than one
+    /// outstanding request per agent. Only the central FCFS queue does;
+    /// the replicated protocols are built for one request per agent
+    /// ([`DistributedFcfs`](crate::DistributedFcfs) admits more only when
+    /// configured for it, which the default build is not).
+    #[must_use]
+    pub const fn admits_several_outstanding(self) -> bool {
+        matches!(self, ProtocolKind::CentralFcfs)
+    }
+
     /// All kinds, for exhaustive comparisons.
     #[must_use]
     pub fn all() -> &'static [ProtocolKind] {

@@ -15,7 +15,8 @@
 //!   --engine E         workload draw engine: reference | fast
 //!                      (default reference)
 //!   --urgent P         urgent-request probability (default 0)
-//!   --outstanding R    max outstanding requests per agent (default 1)
+//!   --outstanding R    max outstanding requests per agent (default 1;
+//!                      only central-fcfs admits more)
 //!   --overhead A       arbitration overhead (default 0.5)
 //!   --trace K          print the first K trace events
 //!   --trace-out FILE   export EVERY trace event to FILE (see --trace-format)

@@ -174,9 +174,9 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
             "crates/tail/",
             "crates/stats/",
             // Only the shims the hot loop can actually link against:
-            // proptest and criterion are test/bench-only, and their
-            // `sample`/`from` fns would otherwise soak up method-call
-            // resolution from the draw engines.
+            // proptest is test-only, and its `sample`/`from` fns would
+            // otherwise soak up method-call resolution from the draw
+            // engines.
             "shims/rand/",
             "shims/serde/",
             "shims/serde_json/",

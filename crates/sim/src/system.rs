@@ -225,8 +225,21 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates arbiter construction errors (e.g. invalid agent counts).
+    /// Returns [`Error::InvalidScenario`] when the configuration allows
+    /// more than one outstanding request per agent and the kind's default
+    /// arbiter admits only one (see
+    /// [`ProtocolKind::admits_several_outstanding`]), and propagates
+    /// arbiter construction errors (e.g. invalid agent counts).
     pub fn run_kind(&self, kind: ProtocolKind) -> Result<RunReport, Error> {
+        let limit = self.config.max_outstanding;
+        if limit > 1 && !kind.admits_several_outstanding() {
+            return Err(Error::InvalidScenario {
+                reason: format!(
+                    "protocol {kind} admits one outstanding request per agent, \
+                     got max_outstanding = {limit}"
+                ),
+            });
+        }
         kind.visit(self.config.scenario.agents(), RunWith(self))
     }
 }
@@ -875,6 +888,25 @@ mod tests {
             Simulation::new(SystemConfig::new(scenario.clone()).with_urgent_fraction(1.5)).is_err()
         );
         assert!(Simulation::new(SystemConfig::new(scenario).with_max_outstanding(0)).is_err());
+    }
+
+    #[test]
+    fn run_kind_rejects_several_outstanding_unless_the_kind_admits_them() {
+        let sim = Simulation::new(quick_config(4, 2.0, 1.0, 100).with_max_outstanding(2)).unwrap();
+        for &kind in ProtocolKind::all() {
+            let result = sim.run_kind(kind);
+            if kind == ProtocolKind::CentralFcfs {
+                assert!(result.is_ok(), "{kind}: {result:?}");
+                continue;
+            }
+            match result {
+                Err(Error::InvalidScenario { reason }) => assert!(
+                    reason.contains(kind.slug()) && reason.contains("max_outstanding = 2"),
+                    "{kind}: {reason}"
+                ),
+                other => panic!("{kind}: expected InvalidScenario, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ fn check_cell(agents: u32, load: f64, seed: u64, max_outstanding: u32, samples: 
                     .with_start_rule(rule)
                     .with_cdf();
                 // The multiple-outstanding extension only applies to the
-                // central queue; the replicated protocols assert one request
-                // per agent.
-                if kind == ProtocolKind::CentralFcfs {
+                // kinds whose default arbiter admits it; the replicated
+                // protocols assert one request per agent.
+                if kind.admits_several_outstanding() {
                     config = config.with_max_outstanding(max_outstanding);
                 }
                 let sim = Simulation::new(config).expect("valid config");
