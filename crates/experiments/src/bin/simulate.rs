@@ -211,7 +211,8 @@ fn build_scenario(opts: &Options) -> Result<Scenario, String> {
     }
 }
 
-fn run_one(opts: &Options, kind: ProtocolKind) -> Result<RunReport, String> {
+/// The configured simulation every protocol of the run shares.
+fn simulation(opts: &Options) -> Result<Simulation, String> {
     let scenario = build_scenario(opts)?;
     let mut config = SystemConfig::new(scenario)
         .with_batches(BatchMeansConfig::quick(opts.samples))
@@ -227,10 +228,7 @@ fn run_one(opts: &Options, kind: ProtocolKind) -> Result<RunReport, String> {
     if let Some(path) = &opts.trace_out {
         config = config.with_trace_export(path, opts.trace_format);
     }
-    Simulation::new(config)
-        .map_err(|e| e.to_string())?
-        .run_kind(kind)
-        .map_err(|e| e.to_string())
+    Simulation::new(config).map_err(|e| e.to_string())
 }
 
 fn print_report(opts: &Options, report: &RunReport) {
@@ -274,9 +272,25 @@ fn main() -> ExitCode {
     } else {
         vec![opts.protocol]
     };
+    // Every protocol is checked before any runs, so a scenario one of
+    // them cannot run fails at once instead of after the others finish.
+    let checked = simulation(&opts).and_then(|sim| {
+        for &kind in &kinds {
+            sim.check_kind(kind).map_err(|e| e.to_string())?;
+        }
+        Ok(sim)
+    });
+    let sim = match checked {
+        Ok(sim) => sim,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     // Each protocol is an independent cell (same scenario, same seed), so
     // --compare fans out across workers; reports print in protocol order.
-    let reports = busarb_experiments::run_cells(kinds, |kind| run_one(&opts, kind));
+    let reports =
+        busarb_experiments::run_cells(kinds, |kind| sim.run_kind(kind).map_err(|e| e.to_string()));
     for report in reports {
         match report {
             Ok(report) => {

@@ -7,8 +7,10 @@
 
 use serde::Serialize;
 
+use busarb_sim::RunReport;
+
 use crate::common::Scale;
-use crate::grid::{Grid, GridCell};
+use crate::grid::Grid;
 
 /// One plotted point.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -37,47 +39,65 @@ pub struct Figure41 {
 /// Number of plotted points per series.
 pub const POINTS: usize = 64;
 
-/// Derives the figure from a grid that contains the (30, 1.5) cell.
-///
-/// # Panics
-///
-/// Panics if the grid lacks that cell or its CDFs.
+/// System size of the plotted cell.
+pub const AGENTS: u32 = 30;
+
+/// Total offered load of the plotted cell.
+pub const LOAD: f64 = 1.5;
+
+/// Whether `(agents, load)` is the plotted cell, the one grid cell that
+/// derives the figure.
 #[must_use]
-pub fn from_grid(grid: &Grid) -> Figure41 {
-    let cell = grid
-        .cell(30, 1.5)
-        .expect("grid contains the 30-agent, load-1.5 cell");
-    from_cell(cell)
+pub fn plots(agents: u32, load: f64) -> bool {
+    agents == AGENTS && (load - LOAD).abs() < 1e-9
 }
 
-/// Derives the figure from a single matched cell.
+/// Returns the figure the grid's (30, 1.5) cell derived.
 ///
 /// # Panics
 ///
-/// Panics if the cell's runs lack CDFs.
+/// Panics if the grid lacks that cell.
 #[must_use]
-pub fn from_cell(cell: &GridCell) -> Figure41 {
-    let mut rr_cdf = cell.rr.cdf.clone().expect("grid collects CDFs");
-    let mut fcfs_cdf = cell.fcfs.cdf.clone().expect("grid collects CDFs");
-    let series = |cdf: &mut busarb_stats::Cdf| {
-        cdf.series(POINTS)
+pub fn from_grid(grid: &Grid) -> Figure41 {
+    grid.cell(AGENTS, LOAD)
+        .and_then(|cell| cell.figure4_1.clone())
+        .expect("grid contains the 30-agent, load-1.5 cell")
+}
+
+/// Derives the figure from a matched cell's RR and FCFS runs, which must
+/// still carry their waiting-time samples. Plotting sorts each run's
+/// samples in place, so whatever sums them in recorded order
+/// ([`RunReport::mean_overlapped_wait`]) has to be derived first.
+///
+/// # Panics
+///
+/// Panics if either run lacks its samples.
+#[must_use]
+pub fn from_runs(agents: u32, load: f64, rr: &mut RunReport, fcfs: &mut RunReport) -> Figure41 {
+    let series = |r: &mut RunReport| {
+        r.cdf
+            .as_mut()
+            .expect("grid collects CDFs")
+            .series(POINTS)
             .into_iter()
             .map(|(x, p)| Point { x, p })
             .collect::<Vec<_>>()
     };
     Figure41 {
-        agents: cell.agents,
-        load: cell.load,
-        mean_wait: 0.5 * (cell.rr.mean_wait.mean + cell.fcfs.mean_wait.mean),
-        rr: series(&mut rr_cdf),
-        fcfs: series(&mut fcfs_cdf),
+        agents,
+        load,
+        mean_wait: 0.5 * (rr.mean_wait.mean + fcfs.mean_wait.mean),
+        rr: series(rr),
+        fcfs: series(fcfs),
     }
 }
 
-/// Runs just the needed cell and derives the figure.
+/// Runs just the needed cell and returns the figure it derived.
 #[must_use]
 pub fn run(scale: Scale) -> Figure41 {
-    from_cell(&Grid::compute_cell(30, 1.5, scale))
+    Grid::compute_cell(AGENTS, LOAD, scale)
+        .figure4_1
+        .expect("the plotted cell derives the figure")
 }
 
 /// Renders an ASCII plot plus a numeric table of both series.

@@ -21,12 +21,13 @@
 use serde::Serialize;
 
 use busarb_sim::RunReport;
+use busarb_stats::Cdf;
 
 use crate::common::Scale;
 use crate::grid::Grid;
 
 /// One load row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Row {
     /// Total offered load.
     pub load: f64,
@@ -71,54 +72,60 @@ pub struct Table43 {
 /// accumulated at least half its mass. Falls back to `ceil(mean W)` if
 /// the CDFs never cross within four mean waits (possible at very low
 /// loads where both distributions are nearly a point mass).
-fn pick_overlap(rr: &RunReport, fcfs: &RunReport) -> f64 {
-    let mut rr_cdf = rr.cdf.clone().expect("grid collects CDFs");
-    let mut fcfs_cdf = fcfs.cdf.clone().expect("grid collects CDFs");
-    let limit = (rr.wait_summary.mean() * 4.0).ceil().max(8.0) as u32;
-    let crossing = (1..=limit).find(|&x| {
-        let x = f64::from(x);
-        fcfs_cdf.eval(x) > 0.5 && rr_cdf.eval(x) < fcfs_cdf.eval(x)
-    });
+///
+/// Both CDFs are evaluated at every candidate in one pass over their
+/// samples ([`Cdf::eval_integers`]), which neither sorts nor reorders
+/// them.
+fn pick_overlap(rr: &Cdf, fcfs: &Cdf, rr_mean: f64) -> f64 {
+    let limit = (rr_mean * 4.0).ceil().max(8.0) as u32;
+    let (rr_at, fcfs_at) = (rr.eval_integers(limit), fcfs.eval_integers(limit));
+    let crossing = (1..=limit as usize).find(|&x| fcfs_at[x] > 0.5 && rr_at[x] < fcfs_at[x]);
     match crossing {
-        Some(x) => f64::from(x),
-        None => rr.wait_summary.mean().ceil(),
+        Some(x) => x as f64,
+        None => rr_mean.ceil(),
     }
 }
 
-/// Derives the table from a precomputed grid.
+/// Derives the row for one `agents`-agent, `load` cell from its matched
+/// RR and FCFS runs, which must still carry their waiting-time samples.
+/// [`Grid::compute_cell`] calls it on the sweep worker that ran the pair,
+/// before it drops the samples.
+///
+/// # Panics
+///
+/// Panics if either run lacks its samples.
+#[must_use]
+pub fn row(agents: u32, load: f64, rr: &RunReport, fcfs: &RunReport) -> Row {
+    let (Some(rr_samples), Some(fcfs_samples)) = (&rr.cdf, &fcfs.cdf) else {
+        panic!("grid collects CDFs");
+    };
+    let overlap = pick_overlap(rr_samples, fcfs_samples, rr.wait_summary.mean());
+    let interrequest = 1.0 / (load / f64::from(agents)) - 1.0;
+    // Sums in recorded sample order, so the samples must not have been
+    // sorted before this point.
+    let overlapped = |r: &RunReport| r.mean_overlapped_wait(overlap).expect("grid collects CDFs");
+    let productivity =
+        |r: &RunReport| (interrequest + overlapped(r)) / (interrequest + r.wait_summary.mean());
+    let residual = |r: &RunReport| (r.wait_summary.mean() - overlapped(r)).max(0.0);
+    Row {
+        load,
+        mean_wait: 0.5 * (rr.wait_summary.mean() + fcfs.wait_summary.mean()),
+        residual_rr: residual(rr),
+        residual_fcfs: residual(fcfs),
+        productivity_rr: productivity(rr),
+        productivity_fcfs: productivity(fcfs),
+        overlap,
+    }
+}
+
+/// Collects the rows the grid's cells derived (see [`row`]).
 #[must_use]
 pub fn from_grid(grid: &Grid) -> Table43 {
     let sections = [10u32, 30, 64]
         .into_iter()
         .map(|n| Section {
             agents: n,
-            rows: grid
-                .section(n)
-                .map(|cell| {
-                    let overlap = pick_overlap(&cell.rr, &cell.fcfs);
-                    let interrequest = 1.0 / (cell.load / f64::from(n)) - 1.0;
-                    let productivity = |r: &RunReport| {
-                        let overlapped =
-                            r.mean_overlapped_wait(overlap).expect("grid collects CDFs");
-                        (interrequest + overlapped) / (interrequest + r.wait_summary.mean())
-                    };
-                    let residual = |r: &RunReport| {
-                        (r.wait_summary.mean()
-                            - r.mean_overlapped_wait(overlap).expect("grid collects CDFs"))
-                        .max(0.0)
-                    };
-                    Row {
-                        load: cell.load,
-                        mean_wait: 0.5
-                            * (cell.rr.wait_summary.mean() + cell.fcfs.wait_summary.mean()),
-                        residual_rr: residual(&cell.rr),
-                        residual_fcfs: residual(&cell.fcfs),
-                        productivity_rr: productivity(&cell.rr),
-                        productivity_fcfs: productivity(&cell.fcfs),
-                        overlap,
-                    }
-                })
-                .collect(),
+            rows: grid.section(n).map(|cell| cell.table4_3).collect(),
         })
         .collect();
     Table43 { sections }

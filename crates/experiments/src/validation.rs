@@ -19,7 +19,7 @@ use busarb_stats::independence::{lag1_autocorrelation, von_neumann_ratio};
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{seed_for, Scale};
+use crate::common::{run_cells, seed_for, Scale};
 
 /// Result of the CI-coverage study.
 #[derive(Clone, Debug, Serialize)]
@@ -37,24 +37,25 @@ pub struct CiCoverage {
 }
 
 /// Runs the coverage study: `replications` independently seeded runs of
-/// a 10-agent, load-1.5 round-robin cell.
+/// a 10-agent, load-1.5 round-robin cell, spread over the sweep workers
+/// (see [`run_cells`]).
 #[must_use]
 pub fn ci_coverage(scale: Scale, replications: usize) -> CiCoverage {
     let n = 10u32;
     let load = 1.5;
     let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-    let mut estimates = Vec::with_capacity(replications);
-    for r in 0..replications {
+    let estimates = run_cells((0..replications).collect(), |r| {
         let config = SystemConfig::new(scenario.clone())
             .with_batches(scale.batches())
             .with_warmup(scale.warmup())
             .with_seed(seed_for(&format!("ci-coverage-{r}")));
-        let report = Simulation::new(config)
+        Simulation::new(config)
             .expect("valid config")
             .run_kind(ProtocolKind::RoundRobin)
-            .expect("valid size");
-        estimates.push(report.mean_wait);
-    }
+            .expect("valid size")
+            .mean_wait
+    });
+    // Summed in replication order whatever the worker count.
     let grand_mean = estimates.iter().map(|e| e.mean).sum::<f64>() / replications as f64;
     let covered = estimates.iter().filter(|e| e.covers(grand_mean)).count();
     CiCoverage {
@@ -86,29 +87,29 @@ pub struct BatchDiagnostics {
     pub rows: Vec<DiagnosticsRow>,
 }
 
+/// Loads of the batch-diagnostics study.
+pub const LOADS: [f64; 7] = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0];
+
 /// Runs the independence diagnostics across the load range.
 #[must_use]
 pub fn batch_diagnostics(scale: Scale) -> BatchDiagnostics {
     let n = 10u32;
-    let rows = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0]
-        .into_iter()
-        .map(|load| {
-            let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-            let config = SystemConfig::new(scenario)
-                .with_batches(scale.batches())
-                .with_warmup(scale.warmup())
-                .with_seed(seed_for(&format!("diag-{load}")));
-            let report = Simulation::new(config)
-                .expect("valid config")
-                .run_kind(ProtocolKind::Fcfs1)
-                .expect("valid size");
-            DiagnosticsRow {
-                load,
-                lag1: lag1_autocorrelation(&report.wait_batch_means),
-                von_neumann: von_neumann_ratio(&report.wait_batch_means),
-            }
-        })
-        .collect();
+    let rows = run_cells(LOADS.to_vec(), |load| {
+        let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
+        let config = SystemConfig::new(scenario)
+            .with_batches(scale.batches())
+            .with_warmup(scale.warmup())
+            .with_seed(seed_for(&format!("diag-{load}")));
+        let report = Simulation::new(config)
+            .expect("valid config")
+            .run_kind(ProtocolKind::Fcfs1)
+            .expect("valid size");
+        DiagnosticsRow {
+            load,
+            lag1: lag1_autocorrelation(&report.wait_batch_means),
+            von_neumann: von_neumann_ratio(&report.wait_batch_means),
+        }
+    });
     BatchDiagnostics {
         setting: format!("{n} agents, cv 1.0, FCFS-1"),
         rows,

@@ -29,7 +29,7 @@ use busarb_sim::{Simulation, SystemConfig};
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{seed_for, Scale};
+use crate::common::{run_cells, seed_for, Scale};
 
 /// One protocol's result under the lockstep workload.
 #[derive(Clone, Debug, Serialize)]
@@ -66,32 +66,30 @@ pub const PROTOCOLS: [ProtocolKind; 4] = [
 /// Runs the study: `n = 10` agents with the re-synchronizing
 /// deterministic workload ([`Scenario::worst_case_fcfs`]): agent `k`'s
 /// interrequest is `k − 0.5`, so after each identity-ordered batch every
-/// agent re-requests at the same instant and the batch re-forms.
+/// agent re-requests at the same instant and the batch re-forms. One
+/// sweep cell per protocol (see [`run_cells`]).
 #[must_use]
 pub fn run(scale: Scale) -> WorstCaseFcfs {
     let n = 10u32;
     let scenario = Scenario::worst_case_fcfs(n, 0.5).expect("valid scenario");
-    let rows = PROTOCOLS
-        .iter()
-        .map(|&kind| {
-            let config = SystemConfig::new(scenario.clone())
-                .with_batches(scale.batches())
-                .with_warmup(scale.warmup())
-                .with_seed(seed_for(&format!("wc-fcfs-{kind}")))
-                .without_initial_stagger();
-            let report = Simulation::new(config)
-                .expect("valid config")
-                .run_kind(kind)
-                .expect("valid size");
-            Row {
-                protocol: kind.to_string(),
-                wait_agent_1: report.agent_wait(1).mean(),
-                wait_agent_n: report.agent_wait(n).mean(),
-                wait_spread: report.wait_spread(),
-                utilization: report.utilization,
-            }
-        })
-        .collect();
+    let rows = run_cells(PROTOCOLS.to_vec(), |kind| {
+        let config = SystemConfig::new(scenario.clone())
+            .with_batches(scale.batches())
+            .with_warmup(scale.warmup())
+            .with_seed(seed_for(&format!("wc-fcfs-{kind}")))
+            .without_initial_stagger();
+        let report = Simulation::new(config)
+            .expect("valid config")
+            .run_kind(kind)
+            .expect("valid size");
+        Row {
+            protocol: kind.to_string(),
+            wait_agent_1: report.agent_wait(1).mean(),
+            wait_agent_n: report.agent_wait(n).mean(),
+            wait_spread: report.wait_spread(),
+            utilization: report.utilization,
+        }
+    });
     WorstCaseFcfs { agents: n, rows }
 }
 

@@ -218,19 +218,17 @@ impl Simulation {
         }
     }
 
-    /// Builds a default-parameter arbiter of `kind` for the scenario's
-    /// agent count and runs it through [`Simulation::run`] as its concrete
-    /// type — the `ProtocolKind -> static dispatch` bridge used by
-    /// experiment sweeps.
+    /// Checks that this configuration suits a default-parameter arbiter
+    /// of `kind`. [`Simulation::run_kind`] runs the check first; a caller
+    /// about to run several kinds can check them all before running any.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidScenario`] when the configuration allows
     /// more than one outstanding request per agent and the kind's default
     /// arbiter admits only one (see
-    /// [`ProtocolKind::admits_several_outstanding`]), and propagates
-    /// arbiter construction errors (e.g. invalid agent counts).
-    pub fn run_kind(&self, kind: ProtocolKind) -> Result<RunReport, Error> {
+    /// [`ProtocolKind::admits_several_outstanding`]).
+    pub fn check_kind(&self, kind: ProtocolKind) -> Result<(), Error> {
         let limit = self.config.max_outstanding;
         if limit > 1 && !kind.admits_several_outstanding() {
             return Err(Error::InvalidScenario {
@@ -240,6 +238,20 @@ impl Simulation {
                 ),
             });
         }
+        Ok(())
+    }
+
+    /// Builds a default-parameter arbiter of `kind` for the scenario's
+    /// agent count and runs it through [`Simulation::run`] as its concrete
+    /// type — the `ProtocolKind -> static dispatch` bridge used by
+    /// experiment sweeps.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`Simulation::check_kind`], and propagates
+    /// arbiter construction errors (e.g. invalid agent counts).
+    pub fn run_kind(&self, kind: ProtocolKind) -> Result<RunReport, Error> {
+        self.check_kind(kind)?;
         kind.visit(self.config.scenario.agents(), RunWith(self))
     }
 }
@@ -888,6 +900,27 @@ mod tests {
             Simulation::new(SystemConfig::new(scenario.clone()).with_urgent_fraction(1.5)).is_err()
         );
         assert!(Simulation::new(SystemConfig::new(scenario).with_max_outstanding(0)).is_err());
+    }
+
+    #[test]
+    fn check_kind_admits_several_outstanding_only_where_the_kind_does() {
+        let single = Simulation::new(quick_config(4, 2.0, 1.0, 100)).unwrap();
+        let several =
+            Simulation::new(quick_config(4, 2.0, 1.0, 100).with_max_outstanding(3)).unwrap();
+        for &kind in ProtocolKind::all() {
+            assert!(single.check_kind(kind).is_ok(), "{kind}");
+            match several.check_kind(kind) {
+                Ok(()) => assert!(kind.admits_several_outstanding(), "{kind}"),
+                Err(Error::InvalidScenario { reason }) => {
+                    assert!(!kind.admits_several_outstanding(), "{kind}");
+                    assert!(
+                        reason.contains(kind.slug()) && reason.contains("max_outstanding = 3"),
+                        "{kind}: {reason}"
+                    );
+                }
+                Err(other) => panic!("{kind}: expected InvalidScenario, got {other:?}"),
+            }
+        }
     }
 
     #[test]

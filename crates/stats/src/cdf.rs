@@ -7,7 +7,9 @@ use core::fmt;
 /// Figure 4.1 of the paper plots the CDF of the bus waiting time for the RR
 /// and FCFS protocols; Table 4.3's execution-overlap experiment derives its
 /// overlap parameter from the crossing point of the two CDFs. `Cdf` stores
-/// the raw samples and sorts them lazily on first evaluation.
+/// the raw samples and sorts them lazily on first evaluation;
+/// [`Cdf::eval_integers`] and [`Cdf::quantiles`] answer without a full
+/// sort.
 ///
 /// # Examples
 ///
@@ -88,6 +90,41 @@ impl Cdf {
         n as f64 / self.samples.len() as f64
     }
 
+    /// The empirical CDF at every integer `x` in `0..=limit`, from one
+    /// pass over the samples and without sorting them: element `x` equals
+    /// [`Cdf::eval`]`(x)` bit for bit. For an integer `x`, `s <= x` holds
+    /// exactly when `ceil(s) <= x`, so counting the samples by `ceil(s)`
+    /// and summing the counts gives the same `count / len` ratios `eval`
+    /// computes. The recorded sample order is left as it is.
+    ///
+    /// The result holds `limit + 1` values (zeros for an empty sample
+    /// set), so `limit` should be a bound of the search, not a sentinel.
+    #[must_use]
+    pub fn eval_integers(&self, limit: u32) -> Vec<f64> {
+        let mut counts = vec![0usize; limit as usize + 1];
+        if self.samples.is_empty() {
+            return vec![0.0; counts.len()];
+        }
+        for &s in &self.samples {
+            let c = s.ceil();
+            if c <= 0.0 {
+                counts[0] += 1;
+            } else if c <= f64::from(limit) {
+                // An integral value in 1..=limit: the cast is exact.
+                counts[c as usize] += 1;
+            }
+        }
+        let n = self.samples.len() as f64;
+        let mut at_or_below = 0;
+        counts
+            .into_iter()
+            .map(|count| {
+                at_or_below += count;
+                at_or_below as f64 / n
+            })
+            .collect()
+    }
+
     /// The `q`-quantile (0 <= q <= 1) using the inverse-CDF convention, or
     /// `None` for an empty sample set.
     ///
@@ -101,9 +138,47 @@ impl Cdf {
             return None;
         }
         self.ensure_sorted();
+        Some(self.samples[quantile_index(q, self.samples.len())])
+    }
+
+    /// Several quantiles at once, each by the rule of [`Cdf::quantile`],
+    /// or `None` for an empty sample set. Unsorted samples are not
+    /// sorted: each quantile is found by selection in the part of the
+    /// samples not yet split off, O(n) per quantile instead of a full
+    /// O(n log n) sort. Selection reorders the samples, as sorting does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `q` is outside `[0, 1]`.
+    #[must_use]
+    pub fn quantiles<const K: usize>(&mut self, qs: [f64; K]) -> Option<[f64; K]> {
+        assert!(
+            qs.iter().all(|q| (0.0..=1.0).contains(q)),
+            "quantile must be in [0, 1]"
+        );
+        if self.samples.is_empty() {
+            return None;
+        }
         let n = self.samples.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Some(self.samples[idx])
+        let mut wanted: [(usize, usize); K] =
+            core::array::from_fn(|i| (quantile_index(qs[i], n), i));
+        wanted.sort_unstable();
+        let mut out = [0.0; K];
+        // A selection at `idx` leaves the order statistic there and moves
+        // every larger sample after it, so the next larger index is
+        // selected in `samples[idx + 1..]` and `samples[..=idx]` is never
+        // touched again.
+        let mut lo = 0;
+        for (idx, i) in wanted {
+            if !self.sorted && idx >= lo {
+                self.samples[lo..].select_nth_unstable_by(idx - lo, |a, b| {
+                    a.partial_cmp(b).expect("no NaN by construction")
+                });
+                lo = idx + 1;
+            }
+            out[i] = self.samples[idx];
+        }
+        Some(out)
     }
 
     /// Produces `(x, F(x))` pairs sampled at `points` evenly spaced values
@@ -131,23 +206,17 @@ impl Cdf {
             .collect()
     }
 
-    /// Smallest integer `x >= 1` such that `F_self(x) < F_other(x)`,
-    /// searched up to `limit`.
-    ///
-    /// This is the overlap-selection rule from Table 4.3: "the minimum
-    /// integer value at which the CDF for RR is less than the CDF for
-    /// FCFS".
-    #[must_use]
-    pub fn first_integer_below(&mut self, other: &mut Cdf, limit: u32) -> Option<u32> {
-        (1..=limit).find(|&x| self.eval(f64::from(x)) < other.eval(f64::from(x)))
-    }
-
     /// Read-only view of the recorded samples (unsorted order not
     /// guaranteed).
     #[must_use]
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
+
+/// The sample index of the `q`-quantile among `n` sorted samples.
+fn quantile_index(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 
 impl Extend<f64> for Cdf {
@@ -223,17 +292,16 @@ mod tests {
     }
 
     #[test]
-    fn first_integer_below_finds_crossing() {
-        // self: mass spread wide; other: mass concentrated at 5.
-        let mut wide: Cdf = [1.0, 1.0, 9.0, 9.0].into_iter().collect();
-        let mut tight: Cdf = [5.0, 5.0, 5.0, 5.0].into_iter().collect();
-        // x in 1..=4: wide = 0.5, tight = 0.0 -> not below.
-        // x = 5: wide = 0.5, tight = 1.0 -> below.
-        assert_eq!(wide.first_integer_below(&mut tight, 20), Some(5));
-        // tight is already below wide at x = 1..=4.
-        assert_eq!(tight.first_integer_below(&mut wide, 20), Some(1));
-        // Search bounded by limit: no crossing found within 1..=4.
-        assert_eq!(wide.first_integer_below(&mut tight, 4), None);
+    fn eval_integers_counts_by_ceiling() {
+        let cdf: Cdf = [12.0, 0.5, 2.5, 0.0, 1.0, 9.0].into_iter().collect();
+        // 0 -> {0}; 1 -> {0, 0.5, 1}; 3 -> {.., 2.5}; 9 and 12 lie past 3.
+        let sixths = |k: u32| f64::from(k) / 6.0;
+        assert_eq!(
+            cdf.eval_integers(3),
+            vec![sixths(1), sixths(3), sixths(3), sixths(4)]
+        );
+        assert_eq!(cdf.samples()[0], 12.0, "recorded order is kept");
+        assert_eq!(Cdf::new().eval_integers(2), vec![0.0; 3]);
     }
 
     #[test]

@@ -11,6 +11,18 @@ fn reasonable_f64() -> impl Strategy<Value = f64> {
     -1e6..1e6f64
 }
 
+/// Samples that sit on and around integer boundaries: zeros, exact
+/// integers, fractional and negative values, and values past every
+/// `limit` the tests probe.
+fn boundary_sample() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        (0u32..50).prop_map(f64::from),
+        0.0..50.0f64,
+        -3.0..0.0f64,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -73,6 +85,42 @@ proptest! {
             let x = cdf.quantile(q).unwrap();
             // At least a q-fraction of samples are <= quantile(q).
             prop_assert!(cdf.eval(x) + 1e-12 >= q, "q = {q}");
+        }
+    }
+
+    #[test]
+    fn integer_evaluation_equals_eval(
+        samples in prop::collection::vec(boundary_sample(), 0..120),
+        limit in 0u32..40,
+    ) {
+        let mut cdf: Cdf = samples.iter().copied().collect();
+        let at = cdf.eval_integers(limit);
+        prop_assert_eq!(at.len(), limit as usize + 1);
+        // One pass leaves the recorded order alone.
+        prop_assert_eq!(cdf.samples(), &samples[..]);
+        for x in 0..=limit {
+            let eval = cdf.eval(f64::from(x));
+            prop_assert_eq!(at[x as usize].to_bits(), eval.to_bits(), "x = {}", x);
+        }
+    }
+
+    #[test]
+    fn selected_quantiles_equal_sorted_quantiles(
+        samples in prop::collection::vec(boundary_sample(), 0..120),
+        (a, b, c) in (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64),
+    ) {
+        let qs = [a, 0.0, 0.5, b, 0.9, 0.99, c, 1.0, a];
+        let mut selected: Cdf = samples.iter().copied().collect();
+        let mut sorted: Cdf = samples.iter().copied().collect();
+        match selected.quantiles(qs) {
+            None => prop_assert!(samples.is_empty()),
+            Some(values) => {
+                for (&q, &v) in qs.iter().zip(&values) {
+                    prop_assert_eq!(Some(v), sorted.quantile(q), "q = {}", q);
+                }
+                // Already-sorted samples are read, not selected again.
+                prop_assert_eq!(sorted.quantiles(qs), Some(values));
+            }
         }
     }
 
