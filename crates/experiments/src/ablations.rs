@@ -28,7 +28,9 @@ use busarb_types::Time;
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{run_cell, run_cell_kind, run_cells, EstimateJson, Scale};
+use crate::common::{
+    cell_config, run_cell, run_cell_kind, run_cells, run_config_kind, EstimateJson, Scale,
+};
 
 /// A (label, metrics) row shared by the ablation tables.
 #[derive(Clone, Debug, Serialize)]
@@ -187,7 +189,7 @@ pub fn rr3_overhead(scale: Scale) -> Ablation {
 /// strict reading pays extra overhead at low load, none at saturation.
 #[must_use]
 pub fn start_rule(scale: Scale) -> Ablation {
-    use busarb_sim::{ArbitrationStartRule, Simulation, SystemConfig};
+    use busarb_sim::ArbitrationStartRule;
     let n = 10u32;
     let points: Vec<(f64, &str, ArbitrationStartRule)> = [0.25, 1.0, 2.5]
         .iter()
@@ -200,17 +202,9 @@ pub fn start_rule(scale: Scale) -> Ablation {
         .collect();
     let rows = run_cells(points, |(load, label, rule)| {
         let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-        let config = SystemConfig::new(scenario)
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(crate::common::seed_for(&format!(
-                "abl-start-{label}-{load}"
-            )))
-            .with_start_rule(rule);
-        let report = Simulation::new(config)
-            .expect("valid config")
-            .run_kind(ProtocolKind::RoundRobin)
-            .expect("valid size");
+        let tag = format!("abl-start-{label}-{load}");
+        let config = cell_config(scenario, scale, &tag).with_start_rule(rule);
+        let report = run_config_kind(config, ProtocolKind::RoundRobin, &tag);
         row(format!("{label} @ load {load}"), n, &report)
     });
     Ablation {
@@ -225,7 +219,6 @@ pub fn start_rule(scale: Scale) -> Ablation {
 /// from 0 to 1.0 shows where the overlap stops saving it.
 #[must_use]
 pub fn overhead(scale: Scale) -> Ablation {
-    use busarb_sim::{Simulation, SystemConfig};
     let n = 10u32;
     let points: Vec<(f64, f64)> = [0.25, 1.0, 2.5]
         .iter()
@@ -233,15 +226,9 @@ pub fn overhead(scale: Scale) -> Ablation {
         .collect();
     let rows = run_cells(points, |(load, a)| {
         let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-        let config = SystemConfig::new(scenario)
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(crate::common::seed_for(&format!("abl-ovh-{a}-{load}")))
-            .with_arbitration_overhead(Time::from(a));
-        let report = Simulation::new(config)
-            .expect("valid config")
-            .run_kind(ProtocolKind::RoundRobin)
-            .expect("valid size");
+        let tag = format!("abl-ovh-{a}-{load}");
+        let config = cell_config(scenario, scale, &tag).with_arbitration_overhead(Time::from(a));
+        let report = run_config_kind(config, ProtocolKind::RoundRobin, &tag);
         row(format!("overhead {a} @ load {load}"), n, &report)
     });
     Ablation {
@@ -259,7 +246,7 @@ pub fn overhead(scale: Scale) -> Ablation {
 /// load; hidden by overlap at saturation.
 #[must_use]
 pub fn width_overhead(scale: Scale) -> Ablation {
-    use busarb_sim::{OverheadModel, Simulation, SystemConfig};
+    use busarb_sim::OverheadModel;
     let n = 30u32;
     // One end-to-end bus propagation = 0.1 transaction times; 0.05 of
     // fixed logic delay.
@@ -301,17 +288,9 @@ pub fn width_overhead(scale: Scale) -> Ablation {
         .collect();
     let rows = run_cells(points, |(load, label, kind, model)| {
         let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-        let config = SystemConfig::new(scenario)
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(crate::common::seed_for(&format!(
-                "abl-width-{label}-{load}"
-            )))
-            .with_overhead_model(model);
-        let report = Simulation::new(config)
-            .expect("valid config")
-            .run_kind(kind)
-            .expect("valid size");
+        let tag = format!("abl-width-{label}-{load}");
+        let config = cell_config(scenario, scale, &tag).with_overhead_model(model);
+        let report = run_config_kind(config, kind, &tag);
         row(format!("{label} @ load {load}"), n, &report)
     });
     Ablation {

@@ -82,18 +82,49 @@ pub fn protocol_slug(kind: ProtocolKind) -> &'static str {
     kind.slug()
 }
 
-/// The simulation of one experiment cell: `scale`'s batches and warm-up,
-/// the seed derived from `tag`, and the process-wide draw engine.
-fn cell_simulation(scenario: Scenario, scale: Scale, tag: &str, collect_cdf: bool) -> Simulation {
-    let mut config = SystemConfig::new(scenario)
+/// The configuration of one experiment cell: `scale`'s batches and
+/// warm-up, the seed derived from `tag`, and the process-wide draw
+/// engine. Every study starts its cells from here, so `--engine`
+/// reaches them all.
+#[must_use]
+pub fn cell_config(scenario: Scenario, scale: Scale, tag: &str) -> SystemConfig {
+    SystemConfig::new(scenario)
         .with_batches(scale.batches())
         .with_warmup(scale.warmup())
         .with_seed(seed_for(tag))
-        .with_draw_engine(engine());
-    if collect_cdf {
-        config = config.with_cdf();
-    }
-    Simulation::new(config).expect("experiment configs are valid")
+        .with_draw_engine(engine())
+}
+
+/// Runs a study's own configured cell: [`Simulation::run`] on `arbiter`
+/// under `config` (built from [`cell_config`]), with its metrics offered
+/// to the rollups under `tag`.
+///
+/// # Panics
+///
+/// Panics on internal configuration errors (experiment code constructs
+/// only valid configurations).
+#[must_use]
+pub fn run_config<A: Arbiter>(config: SystemConfig, arbiter: A, tag: &str) -> RunReport {
+    let report = Simulation::new(config)
+        .expect("experiment configs are valid")
+        .run(arbiter);
+    offer_rollup(tag, &report.metrics);
+    report
+}
+
+/// [`run_config`] for a default-parameter protocol of `kind`, through
+/// [`Simulation::run_kind`].
+///
+/// # Panics
+///
+/// Panics on internal configuration errors.
+#[must_use]
+pub fn run_config_kind(config: SystemConfig, kind: ProtocolKind, tag: &str) -> RunReport {
+    let report = Simulation::new(config)
+        .and_then(|sim| sim.run_kind(kind))
+        .expect("experiment configs are valid");
+    offer_rollup(tag, &report.metrics);
+    report
 }
 
 /// Runs one simulation cell with a custom-configured arbiter.
@@ -110,9 +141,9 @@ pub fn run_cell(
     tag: &str,
     collect_cdf: bool,
 ) -> RunReport {
-    let report = cell_simulation(scenario, scale, tag, collect_cdf).run(arbiter);
-    offer_rollup(tag, &report.metrics);
-    report
+    let mut config = cell_config(scenario, scale, tag);
+    config.collect_cdf = collect_cdf;
+    run_config(config, arbiter, tag)
 }
 
 /// Runs one simulation cell for a default-parameter protocol of `kind`
@@ -134,11 +165,9 @@ pub fn run_cell_kind(
     tag: &str,
     collect_cdf: bool,
 ) -> RunReport {
-    let report = cell_simulation(scenario, scale, tag, collect_cdf)
-        .run_kind(kind)
-        .expect("experiment scenarios use valid system sizes");
-    offer_rollup(tag, &report.metrics);
-    report
+    let mut config = cell_config(scenario, scale, tag);
+    config.collect_cdf = collect_cdf;
+    run_config_kind(config, kind, tag)
 }
 
 /// Per-cell metric rollups, collected when enabled (see

@@ -13,12 +13,12 @@ use std::path::Path;
 
 use busarb_core::ProtocolKind;
 use busarb_obs::{MetricsSnapshot, TraceFormat};
-use busarb_sim::{RunReport, Simulation, SystemConfig};
+use busarb_sim::RunReport;
 use busarb_tail::ReplaySummary;
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{engine, merge_rollups, offer_rollup, seed_for, take_rollups, Scale};
+use crate::common::{cell_config, merge_rollups, run_config_kind, take_rollups, Scale};
 
 /// System size of the pinned observability cell.
 pub const PINNED_AGENTS: u32 = 10;
@@ -42,20 +42,11 @@ pub const PINNED_TAG: &str = "observe-pinned";
 pub fn run_pinned(scale: Scale, export: Option<(&Path, TraceFormat)>) -> RunReport {
     let scenario = Scenario::equal_load(PINNED_AGENTS, PINNED_LOAD, PINNED_CV)
         .expect("pinned scenario is valid");
-    let mut config = SystemConfig::new(scenario)
-        .with_batches(scale.batches())
-        .with_warmup(scale.warmup())
-        .with_seed(seed_for(PINNED_TAG))
-        .with_draw_engine(engine());
+    let mut config = cell_config(scenario, scale, PINNED_TAG);
     if let Some((path, format)) = export {
         config = config.with_trace_export(path, format);
     }
-    let report = Simulation::new(config)
-        .expect("pinned config is valid")
-        .run_kind(PINNED_KIND)
-        .expect("pinned system size is valid");
-    offer_rollup(PINNED_TAG, &report.metrics);
-    report
+    run_config_kind(config, PINNED_KIND, PINNED_TAG)
 }
 
 /// Relative closeness at f64 round-off scale.

@@ -29,12 +29,11 @@
 //!
 //! [`PriorityCounterRule`]: busarb_core::PriorityCounterRule
 
-use busarb_core::{Arbiter, CounterStrategy, DistributedFcfs, FcfsConfig, PriorityCounterRule};
-use busarb_sim::{Simulation, SystemConfig};
+use busarb_core::{CounterStrategy, DistributedFcfs, FcfsConfig, PriorityCounterRule};
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{run_cells, seed_for, EstimateJson, Scale};
+use crate::common::{cell_config, run_cells, run_config, EstimateJson, Scale};
 
 /// One (urgent fraction, rule, width) row.
 #[derive(Clone, Debug, Serialize)]
@@ -92,14 +91,10 @@ pub fn run(scale: Scale) -> PriorityStudy {
             priority_rule: rule,
             ..FcfsConfig::for_agents(n, CounterStrategy::PerLostArbitration)
         };
-        let arbiter: Box<dyn Arbiter> =
-            Box::new(DistributedFcfs::with_config(n, fcfs_config).expect("valid config"));
-        let config = SystemConfig::new(scenario)
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(seed_for(&format!("prio-{urgent}-{rule_name}-{bits}")))
-            .with_urgent_fraction(urgent);
-        let report = Simulation::new(config).expect("valid config").run(arbiter);
+        let arbiter = DistributedFcfs::with_config(n, fcfs_config).expect("valid config");
+        let tag = format!("prio-{urgent}-{rule_name}-{bits}");
+        let config = cell_config(scenario, scale, &tag).with_urgent_fraction(urgent);
+        let report = run_config(config, arbiter, &tag);
         Row {
             urgent_fraction: urgent,
             rule: rule_name.to_string(),

@@ -14,12 +14,11 @@
 //!   slowly.
 
 use busarb_core::ProtocolKind;
-use busarb_sim::{Simulation, SystemConfig};
 use busarb_stats::independence::{lag1_autocorrelation, von_neumann_ratio};
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{run_cells, seed_for, Scale};
+use crate::common::{cell_config, run_cells, run_config_kind, Scale};
 
 /// Result of the CI-coverage study.
 #[derive(Clone, Debug, Serialize)]
@@ -45,15 +44,9 @@ pub fn ci_coverage(scale: Scale, replications: usize) -> CiCoverage {
     let load = 1.5;
     let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
     let estimates = run_cells((0..replications).collect(), |r| {
-        let config = SystemConfig::new(scenario.clone())
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(seed_for(&format!("ci-coverage-{r}")));
-        Simulation::new(config)
-            .expect("valid config")
-            .run_kind(ProtocolKind::RoundRobin)
-            .expect("valid size")
-            .mean_wait
+        let tag = format!("ci-coverage-{r}");
+        let config = cell_config(scenario.clone(), scale, &tag);
+        run_config_kind(config, ProtocolKind::RoundRobin, &tag).mean_wait
     });
     // Summed in replication order whatever the worker count.
     let grand_mean = estimates.iter().map(|e| e.mean).sum::<f64>() / replications as f64;
@@ -96,14 +89,9 @@ pub fn batch_diagnostics(scale: Scale) -> BatchDiagnostics {
     let n = 10u32;
     let rows = run_cells(LOADS.to_vec(), |load| {
         let scenario = Scenario::equal_load(n, load, 1.0).expect("valid scenario");
-        let config = SystemConfig::new(scenario)
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(seed_for(&format!("diag-{load}")));
-        let report = Simulation::new(config)
-            .expect("valid config")
-            .run_kind(ProtocolKind::Fcfs1)
-            .expect("valid size");
+        let tag = format!("diag-{load}");
+        let config = cell_config(scenario, scale, &tag);
+        let report = run_config_kind(config, ProtocolKind::Fcfs1, &tag);
         DiagnosticsRow {
             load,
             lag1: lag1_autocorrelation(&report.wait_batch_means),

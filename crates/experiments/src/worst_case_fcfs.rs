@@ -25,11 +25,10 @@
 //! justification for the paper's decision to drop it.
 
 use busarb_core::ProtocolKind;
-use busarb_sim::{Simulation, SystemConfig};
 use busarb_workload::Scenario;
 use serde::Serialize;
 
-use crate::common::{run_cells, seed_for, Scale};
+use crate::common::{cell_config, run_cells, run_config_kind, Scale};
 
 /// One protocol's result under the lockstep workload.
 #[derive(Clone, Debug, Serialize)]
@@ -73,15 +72,9 @@ pub fn run(scale: Scale) -> WorstCaseFcfs {
     let n = 10u32;
     let scenario = Scenario::worst_case_fcfs(n, 0.5).expect("valid scenario");
     let rows = run_cells(PROTOCOLS.to_vec(), |kind| {
-        let config = SystemConfig::new(scenario.clone())
-            .with_batches(scale.batches())
-            .with_warmup(scale.warmup())
-            .with_seed(seed_for(&format!("wc-fcfs-{kind}")))
-            .without_initial_stagger();
-        let report = Simulation::new(config)
-            .expect("valid config")
-            .run_kind(kind)
-            .expect("valid size");
+        let tag = format!("wc-fcfs-{kind}");
+        let config = cell_config(scenario.clone(), scale, &tag).without_initial_stagger();
+        let report = run_config_kind(config, kind, &tag);
         Row {
             protocol: kind.to_string(),
             wait_agent_1: report.agent_wait(1).mean(),

@@ -9,7 +9,9 @@
 //! the engine selector is process-global: concurrent tests flipping it
 //! would race.
 
-use busarb_experiments::{grid::Grid, run_cells_with, set_engine, Scale};
+use busarb_experiments::{
+    ablations, grid::Grid, priority_study, run_cells_with, set_engine, validation, Scale,
+};
 use busarb_workload::DrawEngineKind;
 
 fn fingerprint(cell: &busarb_experiments::grid::GridCell) -> String {
@@ -52,5 +54,45 @@ fn fast_engine_sweeps_are_deterministic_and_distinct_from_reference() {
         "fast and reference engines produced identical reports — the \
          engine switch is not reaching the runner"
     );
+
+    // Phase 3 — the studies that configure their own cells draw through
+    // the selected engine too.
+    let studies = |engine: DrawEngineKind| {
+        set_engine(engine);
+        [
+            (
+                "ci_coverage",
+                format!("{:?}", validation::ci_coverage(Scale::Smoke, 4)),
+            ),
+            (
+                "batch_diagnostics",
+                format!("{:?}", validation::batch_diagnostics(Scale::Smoke)),
+            ),
+            (
+                "priority_study",
+                format!("{:?}", priority_study::run(Scale::Smoke)),
+            ),
+            (
+                "start-rule",
+                format!("{:?}", ablations::start_rule(Scale::Smoke)),
+            ),
+            (
+                "overhead",
+                format!("{:?}", ablations::overhead(Scale::Smoke)),
+            ),
+            (
+                "width-overhead",
+                format!("{:?}", ablations::width_overhead(Scale::Smoke)),
+            ),
+        ]
+    };
+    let fast = studies(DrawEngineKind::Fast);
+    let reference = studies(DrawEngineKind::Reference);
+    for ((name, fast), (_, reference)) in fast.iter().zip(&reference) {
+        assert_ne!(
+            fast, reference,
+            "{name}: --engine fast did not reach the study"
+        );
+    }
     set_engine(DrawEngineKind::default());
 }

@@ -54,8 +54,8 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
     let mut hot_roots = vec![
         // The word-parallel contention settle loop.
         root("crates/bus/src/contention.rs", None, "settle"),
-        // The slot-calendar event queue (and the legacy heap oracle
-        // sharing these names): once per event in the steady state.
+        // The slot-calendar event queue: once per event in the steady
+        // state.
         root("crates/sim/src/event.rs", None, "schedule"),
         root("crates/sim/src/event.rs", None, "schedule_arrival"),
         root("crates/sim/src/event.rs", None, "pop"),

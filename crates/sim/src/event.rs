@@ -43,9 +43,8 @@
 //! event-kind dispatch and re-validation of the general
 //! [`CalendarQueue::schedule`] entry point.
 //!
-//! The legacy `BinaryHeap` implementation is retained as
-//! [`HeapEventQueue`] and serves as the reference oracle for the
-//! equivalence property tests below.
+//! The property test below checks the calendar against a sorted-list
+//! model of the same `(time, kind rank, insertion)` order.
 
 use busarb_types::{AgentId, Time};
 
@@ -66,19 +65,6 @@ pub enum Event {
     TransactionEnd,
     /// An agent finishes its think time and asserts the bus-request line.
     RequestArrival(AgentId),
-}
-
-impl Event {
-    /// Tie-break rank at equal timestamps (lower runs first). The calendar
-    /// encodes these ranks positionally in `CalendarQueue::pick`; only
-    /// the reference heap consults this method.
-    fn rank(&self) -> u8 {
-        match self {
-            Event::ArbitrationComplete => 0,
-            Event::TransactionEnd => 1,
-            Event::RequestArrival(_) => 2,
-        }
-    }
 }
 
 /// Monotone order-preserving map from a finite timestamp to a `u64` key:
@@ -160,8 +146,7 @@ enum Pick {
 ///
 /// Events pop in timestamp order; ties resolve by event kind (see
 /// [`Event`]) and then by insertion order, so identically seeded runs
-/// replay identically — the pop order is bit-for-bit the order the legacy
-/// heap implementation ([`HeapEventQueue`]) produces.
+/// replay identically.
 ///
 /// Because each slot holds at most one event, scheduling a second
 /// `ArbitrationComplete`, a second `TransactionEnd`, or a second arrival
@@ -395,102 +380,6 @@ impl<const W: usize> Default for CalendarQueue<W> {
     }
 }
 
-/// The pre-calendar `BinaryHeap` event queue, kept as the reference
-/// implementation the slot calendar is property-tested against, and as
-/// the queue behind the legacy per-agent runner that oracles the
-/// struct-of-arrays event loop. Same pop order, bit-for-bit; unlike
-/// [`CalendarQueue`] it accepts arbitrarily many pending events of each
-/// kind.
-pub mod reference {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    use super::Event;
-    use busarb_types::Time;
-
-    /// A scheduled event (internal heap entry).
-    #[derive(Clone, Copy, Debug)]
-    struct Scheduled {
-        at: Time,
-        rank: u8,
-        seq: u64,
-        event: Event,
-    }
-
-    impl PartialEq for Scheduled {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-
-    impl Eq for Scheduled {}
-
-    impl Ord for Scheduled {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; reverse so the earliest event pops
-            // first.
-            (other.at, other.rank, other.seq).cmp(&(self.at, self.rank, self.seq))
-        }
-    }
-
-    impl PartialOrd for Scheduled {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    /// The legacy heap-backed deterministic future-event list.
-    #[derive(Debug, Default)]
-    pub struct HeapEventQueue {
-        heap: BinaryHeap<Scheduled>,
-        next_seq: u64,
-    }
-
-    impl HeapEventQueue {
-        /// Creates an empty queue.
-        #[must_use]
-        pub fn new() -> Self {
-            HeapEventQueue::default()
-        }
-
-        /// Schedules `event` at absolute time `at`.
-        pub fn schedule(&mut self, at: Time, event: Event) {
-            self.heap.push(Scheduled {
-                at,
-                rank: event.rank(),
-                seq: self.next_seq,
-                event,
-            });
-            self.next_seq += 1;
-        }
-
-        /// Pops the earliest event.
-        pub fn pop(&mut self) -> Option<(Time, Event)> {
-            self.heap.pop().map(|s| (s.at, s.event))
-        }
-
-        /// Timestamp of the earliest pending event.
-        #[must_use]
-        pub fn peek_time(&self) -> Option<Time> {
-            self.heap.peek().map(|s| s.at)
-        }
-
-        /// Number of pending events.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether the queue is empty.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-    }
-}
-
-pub use reference::HeapEventQueue;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,18 +565,54 @@ mod tests {
         }
     }
 
-    /// Drives one interleaved schedule/pop trace against the reference
-    /// heap at an arbitrary calendar width. Agents beyond the width's
+    /// The ordering rule as a sorted list: pending events in
+    /// `(time, rank, seq)` order, where the rank is completion 0, end 1,
+    /// arrival 2 and `seq` counts schedules.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(Time, u8, u64, Event)>,
+        next_seq: u64,
+    }
+
+    impl Model {
+        fn schedule(&mut self, at: Time, event: Event) {
+            let rank = match event {
+                Event::ArbitrationComplete => 0,
+                Event::TransactionEnd => 1,
+                Event::RequestArrival(_) => 2,
+            };
+            let key = (at, rank, self.next_seq);
+            self.next_seq += 1;
+            let pos = self
+                .pending
+                .partition_point(|&(t, r, s, _)| (t, r, s) < key);
+            self.pending.insert(pos, (at, rank, key.2, event));
+        }
+
+        fn pop(&mut self) -> Option<(Time, Event)> {
+            (!self.pending.is_empty()).then(|| {
+                let (at, _, _, event) = self.pending.remove(0);
+                (at, event)
+            })
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.pending.first().map(|p| p.0)
+        }
+    }
+
+    /// Drives one interleaved schedule/pop trace against the model at an
+    /// arbitrary calendar width. Agents beyond the width's
     /// `64 * W` slots fold back into it, so the narrow calendar sees the
     /// same trace shape over fewer slots.
-    fn check_against_heap<const W: usize>(ops: &[(bool, u8, u32, u32)]) {
+    fn check_against_model<const W: usize>(ops: &[(bool, u8, u32, u32)]) {
         let mut calendar: CalendarQueue<W> = CalendarQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut model = Model::default();
         let mut busy = Occupancy::default();
         for &(is_pop, kind, agent, half_ticks) in ops {
             if is_pop {
                 let got = calendar.pop();
-                prop_assert_eq!(got, heap.pop());
+                prop_assert_eq!(got, model.pop());
                 if let Some((_, event)) = got {
                     *busy.slot(event) = false;
                 }
@@ -713,14 +638,14 @@ mod tests {
                     }
                     _ => calendar.schedule(at, event),
                 }
-                heap.schedule(at, event);
+                model.schedule(at, event);
             }
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
+            prop_assert_eq!(calendar.len(), model.pending.len());
+            prop_assert_eq!(calendar.peek_time(), model.peek_time());
         }
         // Drain: the full remaining pop sequences must also agree.
         loop {
-            let (a, b) = (calendar.pop(), heap.pop());
+            let (a, b) = (calendar.pop(), model.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -732,15 +657,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The calendar pops the identical `(Time, Event)` sequence the
-        /// legacy heap pops, for arbitrary interleaved schedule/pop traces
-        /// — including equal-timestamp ties (times are quantized to halves
-        /// so collisions are common) — at both monomorphized widths.
+        /// sorted-list model pops, for arbitrary interleaved schedule/pop
+        /// traces — including equal-timestamp ties (times are quantized to
+        /// halves so collisions are common) — at both monomorphized widths.
         /// Agents come from three clusters: two crowded 8-slot groups at
         /// the bottom of word 0, the boundary between the two words, and
         /// the top of word 1. Pops therefore rescan crowded groups, empty
         /// groups, and move the cached minimum across groups and words.
         #[test]
-        fn calendar_matches_reference_heap(
+        fn calendar_matches_reference_order(
             ops in prop::collection::vec(
                 (
                     any::<bool>(),
@@ -751,8 +676,8 @@ mod tests {
                 0..200,
             ),
         ) {
-            check_against_heap::<1>(&ops);
-            check_against_heap::<2>(&ops);
+            check_against_model::<1>(&ops);
+            check_against_model::<2>(&ops);
         }
     }
 }

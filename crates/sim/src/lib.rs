@@ -52,14 +52,13 @@
 
 mod config;
 mod event;
-mod legacy;
 mod report;
 mod system;
 mod trace;
 
 pub use busarb_obs::TraceFormat;
 pub use config::{ArbitrationStartRule, OverheadModel, SystemConfig, TraceExportConfig};
-pub use event::{CalendarQueue, Event, EventQueue, HeapEventQueue};
+pub use event::{CalendarQueue, Event, EventQueue};
 pub use report::RunReport;
 pub use system::Simulation;
 pub use trace::{Trace, TraceEvent, TraceKind};

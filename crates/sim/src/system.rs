@@ -9,7 +9,6 @@ use busarb_workload::{DrawEngine, DrawEngineKind, FastEngine, ReferenceEngine};
 
 use crate::config::{ArbitrationStartRule, SystemConfig};
 use crate::event::{CalendarQueue, Event};
-use crate::legacy;
 use crate::report::RunReport;
 use crate::trace::{Trace, TraceKind};
 
@@ -22,8 +21,7 @@ use crate::trace::{Trace, TraceKind};
 /// one-outstanding configuration collapses to a flat arrival-time array
 /// plus one urgency bit per agent — no per-agent `VecDeque` headers, no
 /// pointer chasing, and the blocked flags of all agents fit in a single
-/// [`AgentMask`] word per 64 agents. The legacy array-of-structs layout
-/// survives unchanged in [`crate::legacy`] as the equivalence oracle.
+/// [`AgentMask`] word per 64 agents.
 #[derive(Debug)]
 struct AgentPlanes<const W: usize> {
     /// Outstanding-request capacity per agent (`max_outstanding`).
@@ -165,9 +163,8 @@ impl Simulation {
     /// larger ones the full two-word width) and over the configured
     /// [`DrawEngine`], so engine selection costs nothing inside the loop.
     ///
-    /// The report is **bit-for-bit identical** to the legacy per-agent
-    /// path ([`Simulation::run_legacy`]) for the same arbiter and
-    /// configuration.
+    /// The run-digest corpus (`tests/run_digests.rs` in the workspace
+    /// root) pins the full report of this loop on every path it takes.
     ///
     /// # Panics
     ///
@@ -189,31 +186,6 @@ impl Simulation {
             }
             (false, DrawEngineKind::Fast) => {
                 Runner::<A, FastEngine, 2>::new(&self.config, arbiter).run()
-            }
-        }
-    }
-
-    /// Runs the model through the **legacy per-agent event loop** — the
-    /// pre-plane implementation preserved in [`crate::legacy`]: per-agent
-    /// structs with `VecDeque` request queues and the reference
-    /// `BinaryHeap` event queue. It shares no hot-path data structures
-    /// with [`Simulation::run`], yet must produce a bit-for-bit
-    /// identical [`RunReport`] (metrics snapshot included); the
-    /// `soa_equiv` property test enforces exactly that across every
-    /// protocol and start rule. Use it as the oracle in differential
-    /// tests, never for measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Simulation::run`].
-    #[must_use]
-    pub fn run_legacy<A: Arbiter>(&self, arbiter: A) -> RunReport {
-        match self.config.draw_engine {
-            DrawEngineKind::Reference => {
-                legacy::Runner::<A, ReferenceEngine>::new(&self.config, arbiter).run()
-            }
-            DrawEngineKind::Fast => {
-                legacy::Runner::<A, FastEngine>::new(&self.config, arbiter).run()
             }
         }
     }

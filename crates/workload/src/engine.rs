@@ -26,9 +26,8 @@
 //!   any worker count.
 //!
 //! The engine is selected per run through `SystemConfig::with_draw_engine`
-//! ([`DrawEngineKind`]); both simulator runners (plane and legacy) are
-//! generic over `E: DrawEngine`, so the choice monomorphizes into the
-//! event loop.
+//! ([`DrawEngineKind`]); the simulator's event loop is generic over
+//! `E: DrawEngine`, so the choice monomorphizes into it.
 
 use core::fmt;
 use std::sync::Arc;
