@@ -12,9 +12,10 @@
 //! The cells cover every axis the loop branches on: all 13 protocols ×
 //! both arbitration start rules × both draw engines, open-loop at one
 //! calendar word (10 agents) and two (96 agents), closed-loop MESI
-//! traffic, several outstanding requests, urgent traffic, Erlang draws,
-//! the width-scaled overhead model, the unstaggered worst-case-FCFS
-//! workload and the bounded trace.
+//! traffic, several outstanding requests (the central FCFS queue, and
+//! distributed FCFS with widened, wrapping and saturating counters),
+//! urgent traffic, Erlang draws, the width-scaled overhead model, the
+//! unstaggered worst-case-FCFS workload and the bounded trace.
 //!
 //! Re-baselining: when a change is meant to alter reports, delete the
 //! corpus file and run this test once. It writes a fresh file and fails;
@@ -26,13 +27,23 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use busarb::prelude::*;
+use busarb::protocols::CounterPolicy;
 use busarb::sim::OverheadModel;
 use busarb::workload::{CoherenceConfig, DrawEngineKind};
+
+/// The arbiter a cell runs.
+#[derive(Clone, Copy)]
+enum Protocol {
+    Kind(ProtocolKind),
+    /// Distributed FCFS built from an explicit configuration (several
+    /// outstanding requests per agent, which `run_kind` does not offer).
+    Fcfs(FcfsConfig),
+}
 
 /// One corpus cell.
 struct Cell {
     tag: String,
-    kind: ProtocolKind,
+    protocol: Protocol,
     config: SystemConfig,
 }
 
@@ -54,7 +65,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// stream; `axis` sets what the cell covers.
 fn cell(
     tag: String,
-    kind: ProtocolKind,
+    protocol: impl Into<Protocol>,
     scenario: Scenario,
     axis: impl FnOnce(SystemConfig) -> SystemConfig,
 ) -> Cell {
@@ -65,8 +76,14 @@ fn cell(
         .with_cdf();
     Cell {
         tag,
-        kind,
+        protocol: protocol.into(),
         config: axis(config),
+    }
+}
+
+impl From<ProtocolKind> for Protocol {
+    fn from(kind: ProtocolKind) -> Self {
+        Protocol::Kind(kind)
     }
 }
 
@@ -103,6 +120,53 @@ fn corpus() -> Vec<Cell> {
             ProtocolKind::CentralFcfs,
             open(n, 1.5, 1.0),
             |c| c.with_max_outstanding(2),
+        ));
+    }
+    // Distributed FCFS holding several requests per agent: exact counters
+    // at both calendar widths, then a 2-bit wrapping and a 1-bit
+    // saturating counter, which send selection to the exact scan while
+    // agents hold several requests.
+    let (per_lost, per_arrival) = (
+        CounterStrategy::PerLostArbitration,
+        CounterStrategy::PerArrival,
+    );
+    for (tag, n, r, strategy, narrow) in [
+        ("outstanding2/n10/fcfs-1", 10, 2u32, per_lost, None),
+        ("outstanding2/n10/fcfs-2", 10, 2, per_arrival, None),
+        ("outstanding2/n96/fcfs-2", 96, 2, per_arrival, None),
+        (
+            "outstanding4/n10/fcfs-2/wrap2",
+            10,
+            4,
+            per_arrival,
+            Some((2, CounterPolicy::Wrap)),
+        ),
+        (
+            "outstanding2/n10/fcfs-1/saturate1",
+            10,
+            2,
+            per_lost,
+            Some((1, CounterPolicy::Saturate)),
+        ),
+    ] {
+        let base = FcfsConfig::for_agents(n, strategy);
+        // Exact counters are ceil(log2 r) lines wider than the default.
+        let exact = (
+            base.counter_bits + r.next_power_of_two().trailing_zeros(),
+            base.policy,
+        );
+        let (counter_bits, policy) = narrow.unwrap_or(exact);
+        let fcfs = FcfsConfig {
+            counter_bits,
+            policy,
+            max_outstanding: r,
+            ..base
+        };
+        cells.push(cell(
+            tag.into(),
+            Protocol::Fcfs(fcfs),
+            open(n, 1.5, 1.0),
+            |c| c.with_max_outstanding(r),
         ));
     }
     let width_scaled = OverheadModel::WidthScaled {
@@ -148,10 +212,14 @@ fn corpus() -> Vec<Cell> {
 /// Runs one cell, checks the invariants every run must keep, and returns
 /// the digest of its report.
 fn digest(cell: &Cell) -> u64 {
-    let report = Simulation::new(cell.config.clone())
-        .expect("valid config")
-        .run_kind(cell.kind)
-        .expect("valid cell");
+    let sim = Simulation::new(cell.config.clone()).expect("valid config");
+    let report = match cell.protocol {
+        Protocol::Kind(kind) => sim.run_kind(kind).expect("valid cell"),
+        Protocol::Fcfs(fcfs) => {
+            let n = cell.config.scenario.agents();
+            sim.run(DistributedFcfs::with_config(n, fcfs).expect("valid FCFS config"))
+        }
+    };
     let tag = &cell.tag;
     assert!(report.events > 0, "{tag}: no events simulated");
     if cell.config.scenario.coherence().is_some() {
