@@ -3,8 +3,9 @@
 //!
 //! The plane-based arbiters keep all mutable state in fixed-size bit
 //! masks and per-agent slot arrays allocated at construction (the
-//! arrival-group pool, the rotating arbiter's frozen-register slots, the
-//! ticket arbiter's draw-order ring), so `on_request`, `arbitrate`, and
+//! arrival-group pool and request rings, sized for the outstanding limit;
+//! the rotating arbiter's frozen-register slots; the ticket arbiter's
+//! draw-order ring), so `on_request`, `arbitrate`, and
 //! the `verify_signature` fingerprint (which writes into a caller-reused
 //! buffer via an in-place selection scan) perform zero allocations once
 //! warm — on the shortcut paths and on the exact fallbacks alike (narrow
@@ -128,6 +129,25 @@ fn steady_state_arbitration_and_signatures_do_not_allocate() {
         steady_state_allocations(&mut fcfs2, n, DistributedFcfs::verify_signature),
         0,
         "fcfs-2: steady-state arbitration allocated"
+    );
+
+    // Two outstanding requests per agent: the first issued here, the
+    // second by the saturating driver.
+    let base = FcfsConfig::for_agents(n, CounterStrategy::PerArrival);
+    let pipelined = FcfsConfig {
+        max_outstanding: 2,
+        counter_bits: base.counter_bits + 1,
+        ..base
+    };
+    let mut pipelined = DistributedFcfs::with_config(n, pipelined).expect("valid config");
+    for a in 1..=n {
+        let agent = AgentId::new(a).expect("valid id");
+        pipelined.on_request(Time::ZERO, agent, Priority::Ordinary);
+    }
+    assert_eq!(
+        steady_state_allocations(&mut pipelined, n, DistributedFcfs::verify_signature),
+        0,
+        "fcfs-2 (two outstanding per agent): steady-state arbitration allocated"
     );
 
     let mut hybrid = HybridRrFcfs::new(n).expect("valid size");

@@ -17,7 +17,7 @@ use busarb::prelude::*;
 
 fn main() -> Result<(), busarb::types::Error> {
     let n = 8u32;
-    // Moderate per-agent demand: at r = 1 the bus is ~73% utilized.
+    // Moderate per-agent demand: at r = 1 the bus is ~88% utilized.
     let scenario = Scenario::equal_load(n, 1.1, 1.0)?;
 
     println!(
@@ -25,9 +25,9 @@ fn main() -> Result<(), busarb::types::Error> {
         "r", "util", "W", "sd(W)", "extra lines"
     );
     for r in [1u32, 2, 4, 8] {
-        // The counter must cover N waiters times r requests each.
-        let extra_bits = 32 - (r - 1).leading_zeros().min(31); // ceil(log2 r) for powers of two
-        let extra_bits = if r == 1 { 0 } else { extra_bits };
+        // The counter must cover N waiters times r requests each:
+        // ceil(log2 r) more lines.
+        let extra_bits = r.next_power_of_two().trailing_zeros();
         let config = FcfsConfig {
             max_outstanding: r,
             counter_bits: AgentId::lines_required(n) + extra_bits,
