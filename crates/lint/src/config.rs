@@ -142,6 +142,10 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
     ] {
         hot_roots.push(root(arrival, Some("ArrivalGroups"), name));
     }
+    // The runner's per-agent request queues, rooted the same way.
+    for name in ["push", "pop"] {
+        hot_roots.push(root("crates/sim/src/system.rs", Some("AgentPlanes"), name));
+    }
     hot_roots.push(root("crates/core/src/arbiter.rs", None, "rr_pick"));
     // Every signal-level register system.
     for file in [

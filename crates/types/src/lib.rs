@@ -13,7 +13,6 @@
 //!   all-zero arbitration number to mean "no competitor".
 //! * [`Priority`] — whether a request is urgent (competes with the priority
 //!   bit set) or ordinary (follows the fairness protocol).
-//! * [`Request`] — one outstanding bus request.
 //! * [`Error`] — configuration and validation errors for the workspace.
 //!
 //! # Examples
@@ -41,15 +40,13 @@
 mod agent;
 mod error;
 pub mod fingerprint;
-mod plane;
-mod request;
+mod priority;
 mod time;
 mod trace;
 
 pub use agent::{AgentId, AgentSet};
 pub use error::Error;
-pub use plane::{AgentMask, MaskIter};
-pub use request::{Priority, Request, RequestTag};
+pub use priority::Priority;
 pub use time::Time;
 pub use trace::{CoherenceOp, TraceEvent, TraceKind};
 

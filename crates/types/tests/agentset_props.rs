@@ -1,10 +1,9 @@
 //! Property tests: `AgentSet` agrees with a reference `BTreeSet` model
-//! under arbitrary operation sequences, and the word-plane `AgentMask`
-//! agrees with `AgentSet` op for op at both widths.
+//! under arbitrary operation sequences.
 
 use std::collections::BTreeSet;
 
-use busarb_types::{AgentId, AgentMask, AgentSet};
+use busarb_types::{AgentId, AgentSet};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -98,78 +97,6 @@ proptest! {
         for id in AgentId::all(128) {
             prop_assert_eq!(set.contains(id), id.get() <= n);
         }
-    }
-
-    #[test]
-    fn wide_mask_tracks_agent_set(ops in prop::collection::vec(op_strategy(), 0..200)) {
-        let mut set = AgentSet::new();
-        let mut mask: AgentMask<2> = AgentMask::new();
-        for op in ops {
-            match op {
-                Op::Insert(i) => {
-                    let id = AgentId::new(i).unwrap();
-                    prop_assert_eq!(mask.insert(id), set.insert(id));
-                }
-                Op::Remove(i) => {
-                    let id = AgentId::new(i).unwrap();
-                    prop_assert_eq!(mask.remove(id), set.remove(id));
-                }
-                Op::Clear => {
-                    mask.clear();
-                    set.clear();
-                }
-            }
-            prop_assert_eq!(mask.to_set(), set);
-            prop_assert_eq!(mask.len(), set.len());
-            prop_assert_eq!(mask.is_empty(), set.is_empty());
-            prop_assert_eq!(mask.max(), set.max());
-            prop_assert_eq!(mask.min(), set.min());
-            prop_assert_eq!(AgentMask::<2>::from_set(set), mask);
-            let got: Vec<u32> = mask.iter().map(AgentId::get).collect();
-            let want: Vec<u32> = set.iter().map(AgentId::get).collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn narrow_mask_tracks_agent_set(
-        members in prop::collection::btree_set(1u32..=64, 0..40),
-        bound in 1u32..=64,
-    ) {
-        let set: AgentSet = members.iter().map(|&i| AgentId::new(i).unwrap()).collect();
-        let mask = AgentMask::<1>::from_set(set);
-        prop_assert_eq!(mask.to_set(), set);
-        prop_assert_eq!(mask.len(), set.len());
-        prop_assert_eq!(mask.max(), set.max());
-        prop_assert_eq!(mask.min(), set.min());
-        let b = AgentId::new(bound).unwrap();
-        prop_assert_eq!(mask.max_below(b), set.max_below(b));
-    }
-
-    #[test]
-    fn mask_max_below_matches_set(
-        members in prop::collection::btree_set(1u32..=128, 0..40),
-        bound in 1u32..=128,
-    ) {
-        let set: AgentSet = members.iter().map(|&i| AgentId::new(i).unwrap()).collect();
-        let mask = AgentMask::<2>::from_set(set);
-        let b = AgentId::new(bound).unwrap();
-        prop_assert_eq!(mask.max_below(b), set.max_below(b));
-    }
-
-    #[test]
-    fn mask_algebra_matches_set(
-        a in prop::collection::btree_set(1u32..=128, 0..30),
-        b in prop::collection::btree_set(1u32..=128, 0..30),
-    ) {
-        let to_set = |m: &BTreeSet<u32>| -> AgentSet {
-            m.iter().map(|&i| AgentId::new(i).unwrap()).collect()
-        };
-        let (sa, sb) = (to_set(&a), to_set(&b));
-        let (ma, mb) = (AgentMask::<2>::from_set(sa), AgentMask::<2>::from_set(sb));
-        prop_assert_eq!(ma.union(mb).to_set(), sa.union(sb));
-        prop_assert_eq!(ma.intersection(mb).to_set(), sa.intersection(sb));
-        prop_assert_eq!(ma.difference(mb).to_set(), sa.difference(sb));
     }
 
     #[test]

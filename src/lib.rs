@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use busarb_sim::{ArbitrationStartRule, RunReport, Simulation, SystemConfig};
     pub use busarb_stats::{BatchMeansConfig, Cdf, Estimate, Summary};
-    pub use busarb_types::{AgentId, AgentSet, Priority, Request, Time};
+    pub use busarb_types::{AgentId, AgentSet, Priority, Time};
     pub use busarb_workload::{InterrequestTime, Scenario};
 }
 

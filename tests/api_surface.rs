@@ -27,7 +27,6 @@ fn public_types_keep_their_common_traits() {
     assert_common_traits::<AgentId>();
     assert_common_traits::<AgentSet>();
     assert_common_traits::<Priority>();
-    assert_common_traits::<Request>();
     assert_common_traits::<Error>();
     assert_common_traits::<NumberLayout>();
     assert_common_traits::<ArbitrationNumber>();

@@ -13,8 +13,8 @@
 //! both arbitration start rules × both draw engines, open-loop at one
 //! calendar word (10 agents) and two (96 agents), closed-loop MESI
 //! traffic, several outstanding requests (the central FCFS queue, and
-//! distributed FCFS with widened, wrapping and saturating counters),
-//! urgent traffic, Erlang draws, the width-scaled overhead model, the
+//! distributed FCFS with widened, wrapping and saturating counters,
+//! both also under urgent traffic), urgent traffic, Erlang draws, the width-scaled overhead model, the
 //! unstaggered worst-case-FCFS workload and the bounded trace.
 //!
 //! Re-baselining: when a change is meant to alter reports, delete the
@@ -91,6 +91,29 @@ fn open(n: u32, load: f64, cv: f64) -> Scenario {
     Scenario::equal_load(n, load, cv).expect("valid scenario")
 }
 
+/// Distributed FCFS for `n` agents holding up to `r` requests each, with
+/// counters `narrow` (lines and overflow policy) or else exact: ceil(log2
+/// r) lines wider than the default.
+fn fcfs(
+    n: u32,
+    r: u32,
+    strategy: CounterStrategy,
+    narrow: Option<(u32, CounterPolicy)>,
+) -> Protocol {
+    let base = FcfsConfig::for_agents(n, strategy);
+    let exact = (
+        base.counter_bits + r.next_power_of_two().trailing_zeros(),
+        base.policy,
+    );
+    let (counter_bits, policy) = narrow.unwrap_or(exact);
+    Protocol::Fcfs(FcfsConfig {
+        counter_bits,
+        policy,
+        max_outstanding: r,
+        ..base
+    })
+}
+
 fn corpus() -> Vec<Cell> {
     let mesi = Scenario::closed_loop(8, CoherenceConfig::default_mix()).expect("valid scenario");
     let mut cells = Vec::new();
@@ -149,26 +172,31 @@ fn corpus() -> Vec<Cell> {
             Some((1, CounterPolicy::Saturate)),
         ),
     ] {
-        let base = FcfsConfig::for_agents(n, strategy);
-        // Exact counters are ceil(log2 r) lines wider than the default.
-        let exact = (
-            base.counter_bits + r.next_power_of_two().trailing_zeros(),
-            base.policy,
-        );
-        let (counter_bits, policy) = narrow.unwrap_or(exact);
-        let fcfs = FcfsConfig {
-            counter_bits,
-            policy,
-            max_outstanding: r,
-            ..base
-        };
         cells.push(cell(
             tag.into(),
-            Protocol::Fcfs(fcfs),
+            fcfs(n, r, strategy, narrow),
             open(n, 1.5, 1.0),
             |c| c.with_max_outstanding(r),
         ));
     }
+    // Urgent traffic on top of several outstanding requests: an urgent
+    // grant often serves an agent whose older request is ordinary, and
+    // the completion must be recorded as the urgent one.
+    let urgent = |c: SystemConfig| c.with_max_outstanding(2).with_urgent_fraction(0.3);
+    cells.extend([
+        cell(
+            "outstanding2/n10/central-fcfs/urgent".into(),
+            ProtocolKind::CentralFcfs,
+            open(10, 1.5, 1.0),
+            urgent,
+        ),
+        cell(
+            "outstanding2/n10/fcfs-2/urgent".into(),
+            fcfs(10, 2, per_arrival, None),
+            open(10, 1.5, 1.0),
+            urgent,
+        ),
+    ]);
     let width_scaled = OverheadModel::WidthScaled {
         base: Time::from(0.05),
         per_line: Time::from(0.1),
