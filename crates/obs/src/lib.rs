@@ -18,14 +18,13 @@
 //! * **Trace export** ([`TraceSink`], [`JsonlSink`], [`BinarySink`]) —
 //!   structured, lossless export of the simulator's execution trace
 //!   (`busarb_types::TraceEvent`) as self-describing JSON Lines or a
-//!   compact binary framing, plus readers that auto-detect the format:
-//!   [`read_trace`] / [`read_trace_file`] for whole-buffer decoding and
-//!   the incremental [`TraceReader`], which yields one event at a time
-//!   from any [`std::io::Read`] in bounded memory and reports malformed
-//!   input as a structured [`StreamError`] naming the byte offset (and
-//!   line, for JSONL). `busarb-tail` builds its streaming analyzer —
-//!   `busarb analyze` — on [`TraceReader`] plus the incremental
-//!   [`ReplayBuilder`].
+//!   compact binary framing, plus the incremental [`TraceReader`] (on a
+//!   file, [`open_trace`]), which auto-detects the format, yields one
+//!   event at a time from any [`std::io::Read`] in bounded memory and
+//!   reports malformed input as a structured [`StreamError`] naming the
+//!   byte offset (and line, for JSONL). `busarb-tail` builds its
+//!   streaming analyzer — `busarb analyze` — on [`TraceReader`] plus the
+//!   incremental [`ReplayBuilder`].
 //! * **Replay** ([`replay`]) — recomputes run-level aggregates (mean
 //!   wait with its batch-means confidence interval, utilization, grant
 //!   and completion counts) from an exported trace alone, mirroring the
@@ -72,7 +71,7 @@ mod replay;
 mod snapshot;
 mod stream;
 
-pub use export::{open_file_sink, read_trace, read_trace_file, BinarySink, JsonlSink};
+pub use export::{open_file_sink, BinarySink, JsonlSink};
 pub use metrics::{LogHistogram, WindowedRate, HISTOGRAM_BUCKETS, RATE_WINDOW};
 pub use registry::MetricsRegistry;
 pub use replay::{replay, Replay, ReplayBuilder};
