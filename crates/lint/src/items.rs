@@ -131,7 +131,7 @@ fn impl_self_type(tokens: &[Token<'_>], impl_idx: usize, open_brace: usize) -> O
     (from..open_brace)
         .find(|&j| tokens[j].kind == TokenKind::Ident)
         .map(|j| {
-            // Take the *last* segment of a path like `crate::plane::AgentMask`.
+            // Take the *last* segment of a path like `crate::agent::AgentSet`.
             let mut seg = j;
             let mut k = j + 1;
             while k + 1 < open_brace && tokens[k].text == ":" && tokens[k + 1].text == ":" {
@@ -403,12 +403,12 @@ impl ReferenceEngine { fn think_time(&mut self) {} }
         let src = "
 impl<A: Arbiter + ?Sized> Arbiter for Box<A> { fn name(&self) {} }
 impl<const W: usize> CalendarQueue<W> { fn pop(&mut self) {} }
-impl crate::plane::AgentMask { fn words(&self) {} }
+impl crate::agent::AgentSet { fn bits(&self) {} }
 ";
         let its = items(src);
         assert_eq!(its[0].impl_type.as_deref(), Some("Box"));
         assert_eq!(its[1].impl_type.as_deref(), Some("CalendarQueue"));
-        assert_eq!(its[2].impl_type.as_deref(), Some("AgentMask"));
+        assert_eq!(its[2].impl_type.as_deref(), Some("AgentSet"));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Incremental trace readers: bounded-memory streaming over both export
 //! framings.
 //!
-//! [`read_trace`](crate::read_trace) loads a whole file and returns a
-//! `Vec<TraceEvent>` — fine for debugging, impossible for the
-//! multi-gigabyte traces a production bus emits. [`TraceReader`] is the
-//! streaming sibling: it auto-detects the framing from the first four
+//! A trace can run to gigabytes, so it is never loaded whole.
+//! [`TraceReader`] auto-detects the framing from the first four
 //! bytes, parses the self-describing header up front, and then yields
 //! one event at a time from a fixed-size internal buffer. Peak memory is
 //! independent of trace length: the JSONL path caps line length at
