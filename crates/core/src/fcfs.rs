@@ -123,7 +123,7 @@ impl FcfsConfig {
 /// Supports up to [`FcfsConfig::max_outstanding`] requests per agent
 /// (paper: *r* outstanding requests need only `ceil(log2 r)` more counter
 /// bits). Every request carries its own counter, and one store
-/// ([`ArrivalGroups`]) keeps them for any *r*; an agent's requests with
+/// (`ArrivalGroups`) keeps them for any *r*; an agent's requests with
 /// equal counters are served oldest first.
 ///
 /// # Examples

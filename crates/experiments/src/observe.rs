@@ -3,7 +3,7 @@
 //!
 //! The *pinned cell* (round-robin, 10 agents, total load 2.0, CV 1.0)
 //! is the scenario the round-trip acceptance check runs: simulate it
-//! with a write-through trace export, analyze the export with
+//! with a file trace export, analyze the export with
 //! [`busarb_tail::analyze_path`] (the engine behind `busarb analyze`),
 //! and require its replayed aggregates to match the live [`RunReport`]
 //! within floating-point round-off. The `repro cell` command and the CI

@@ -104,6 +104,8 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         root("crates/obs/src/registry.rs", None, "on_coherence"),
         root("crates/obs/src/registry.rs", None, "on_invalidation"),
         root("crates/obs/src/metrics.rs", None, "record"),
+        // Binary trace encoding: once per record a traced run exports.
+        root("crates/obs/src/export.rs", Some("BinarySink"), "record"),
         // Binary trace decoding: once per record read back.
         root("crates/obs/src/stream.rs", None, "decode_record"),
         // Streaming analyzers: once per trace event.

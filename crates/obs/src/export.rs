@@ -125,14 +125,33 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// A write-through binary sink: `BTRC` magic, version byte, `u32`
+/// Longest binary record, tag byte included: arbitration-start and
+/// transfer-end records carry an `f64` payload after the tag, `at` and
+/// agent.
+pub(crate) const RECORD_MAX: usize = 21;
+
+/// Bytes [`BinarySink`] encodes in memory between two writes.
+const BLOCK_BYTES: usize = 64 << 10;
+
+/// A block-buffered binary sink: `BTRC` magic, version byte, `u32`
 /// little-endian length-prefixed JSON header, then fixed-layout
 /// little-endian records (tag byte, `f64` timestamp, `u32` agent, then
 /// one further `f64` for arbitration/completion records, or an op-code
 /// byte plus `u32` invalidation count for coherence records).
+///
+/// The preamble is written by [`BinarySink::new`]. Records are encoded
+/// in place into a 64 KiB block the sink owns, and the block goes to
+/// the writer in one `write_all` when the next record might not fit,
+/// at [`TraceSink::finish`], at [`BinarySink::into_inner`] and (errors
+/// ignored, like `BufWriter`) on drop. So the writer needs no buffer of
+/// its own.
 #[derive(Debug)]
 pub struct BinarySink<W: Write> {
-    writer: W,
+    /// `None` only after [`BinarySink::into_inner`] took it.
+    writer: Option<W>,
+    block: Box<[u8]>,
+    /// Encoded bytes at the front of `block`.
+    len: usize,
 }
 
 impl<W: Write> BinarySink<W> {
@@ -144,70 +163,122 @@ impl<W: Write> BinarySink<W> {
     pub fn new(mut writer: W, header: &TraceHeader) -> io::Result<Self> {
         let json = serde_json::to_string(header).map_err(|e| invalid(e.to_string()))?;
         let len = u32::try_from(json.len()).map_err(|_| invalid("trace header too large"))?;
-        writer.write_all(MAGIC)?;
-        writer.write_all(&[VERSION])?;
-        writer.write_all(&len.to_le_bytes())?;
-        writer.write_all(json.as_bytes())?;
-        Ok(BinarySink { writer })
+        let mut preamble = Vec::with_capacity(MAGIC.len() + 5 + json.len());
+        preamble.extend_from_slice(MAGIC);
+        preamble.push(VERSION);
+        preamble.extend_from_slice(&len.to_le_bytes());
+        preamble.extend_from_slice(json.as_bytes());
+        writer.write_all(&preamble)?;
+        Ok(BinarySink {
+            writer: Some(writer),
+            block: vec![0; BLOCK_BYTES].into_boxed_slice(),
+            len: 0,
+        })
     }
 
-    /// Consumes the sink, returning the underlying writer.
-    pub fn into_inner(self) -> W {
+    /// Writes out the pending block and returns the underlying writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write error of the pending block.
+    pub fn into_inner(mut self) -> io::Result<W> {
+        self.write_block()?;
         self.writer
+            .take()
+            .ok_or_else(|| io::Error::other("binary sink has no writer"))
+    }
+
+    /// Hands the encoded bytes to the writer and empties the block. The
+    /// block counts as written even when the write fails, so a retry
+    /// (or the drop) never repeats bytes the writer may have taken.
+    fn write_block(&mut self) -> io::Result<()> {
+        let len = std::mem::take(&mut self.len);
+        match (&mut self.writer, self.block.get(..len)) {
+            (Some(writer), Some(bytes)) => writer.write_all(bytes),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl<W: Write> Drop for BinarySink<W> {
+    fn drop(&mut self) {
+        // Keeps the tail of a run that panicked before `finish`.
+        let _ = self.write_block();
+    }
+}
+
+/// Encodes one record at the start of `slot` in the DESIGN §5d layout
+/// and returns its length (13, 18 or 21 bytes); the rest of `slot` is
+/// left as it was.
+fn encode_record(event: &TraceEvent, slot: &mut [u8; RECORD_MAX]) -> usize {
+    slot[1..9].copy_from_slice(&event.at.as_f64().to_le_bytes());
+    match event.kind {
+        TraceKind::Request { agent } => {
+            slot[0] = TAG_REQUEST;
+            slot[9..13].copy_from_slice(&agent.get().to_le_bytes());
+            13
+        }
+        TraceKind::ArbitrationStart { winner, completes } => {
+            slot[0] = TAG_ARBITRATION;
+            slot[9..13].copy_from_slice(&winner.get().to_le_bytes());
+            slot[13..21].copy_from_slice(&completes.as_f64().to_le_bytes());
+            21
+        }
+        TraceKind::TransferStart { agent } => {
+            slot[0] = TAG_TRANSFER;
+            slot[9..13].copy_from_slice(&agent.get().to_le_bytes());
+            13
+        }
+        TraceKind::TransferEnd { agent, wait } => {
+            slot[0] = TAG_END;
+            slot[9..13].copy_from_slice(&agent.get().to_le_bytes());
+            slot[13..21].copy_from_slice(&wait.to_le_bytes());
+            21
+        }
+        TraceKind::Coherence {
+            agent,
+            op,
+            invalidated,
+        } => {
+            // Coherence records have their own body layout: op code
+            // byte plus a u32 invalidation count (18 bytes total).
+            slot[0] = TAG_COHERENCE;
+            slot[9..13].copy_from_slice(&agent.get().to_le_bytes());
+            slot[13] = coherence_op_code(op);
+            slot[14..18].copy_from_slice(&invalidated.to_le_bytes());
+            18
+        }
     }
 }
 
 impl<W: Write> TraceSink for BinarySink<W> {
     fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        // tag + at + agent + extra: at most 21 bytes per record.
-        let mut buf = [0u8; 21];
-        buf[1..9].copy_from_slice(&event.at.as_f64().to_le_bytes());
-        let len = match event.kind {
-            TraceKind::Request { agent } => {
-                buf[0] = TAG_REQUEST;
-                buf[9..13].copy_from_slice(&agent.get().to_le_bytes());
-                13
-            }
-            TraceKind::ArbitrationStart { winner, completes } => {
-                buf[0] = TAG_ARBITRATION;
-                buf[9..13].copy_from_slice(&winner.get().to_le_bytes());
-                buf[13..21].copy_from_slice(&completes.as_f64().to_le_bytes());
-                21
-            }
-            TraceKind::TransferStart { agent } => {
-                buf[0] = TAG_TRANSFER;
-                buf[9..13].copy_from_slice(&agent.get().to_le_bytes());
-                13
-            }
-            TraceKind::TransferEnd { agent, wait } => {
-                buf[0] = TAG_END;
-                buf[9..13].copy_from_slice(&agent.get().to_le_bytes());
-                buf[13..21].copy_from_slice(&wait.to_le_bytes());
-                21
-            }
-            TraceKind::Coherence {
-                agent,
-                op,
-                invalidated,
-            } => {
-                // Coherence records have their own body layout: op code
-                // byte plus a u32 invalidation count (18 bytes total).
-                buf[0] = TAG_COHERENCE;
-                buf[9..13].copy_from_slice(&agent.get().to_le_bytes());
-                buf[13] = coherence_op_code(op);
-                buf[14..18].copy_from_slice(&invalidated.to_le_bytes());
-                18
-            }
+        if self.block.len() - self.len < RECORD_MAX {
+            self.write_block()?;
+        }
+        // After the check above there is always room for a record.
+        let Some(slot) = self
+            .block
+            .get_mut(self.len..)
+            .and_then(<[u8]>::first_chunk_mut)
+        else {
+            return Err(io::Error::other("binary sink block overflow"));
         };
-        self.writer.write_all(&buf[..len])
+        self.len += encode_record(event, slot);
+        Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
+        self.write_block()?;
+        match &mut self.writer {
+            Some(writer) => writer.flush(),
+            None => Ok(()),
+        }
     }
 }
 
-/// Opens a write-through file sink of the given format (buffered).
+/// Opens a file sink of the given format: JSONL through a `BufWriter`,
+/// binary straight onto the file (the sink buffers its own blocks).
 ///
 /// # Errors
 ///
@@ -217,10 +288,10 @@ pub fn open_file_sink(
     format: TraceFormat,
     header: &TraceHeader,
 ) -> io::Result<Box<dyn TraceSink>> {
-    let writer = io::BufWriter::new(std::fs::File::create(path)?);
+    let file = std::fs::File::create(path)?;
     Ok(match format {
-        TraceFormat::Jsonl => Box::new(JsonlSink::new(writer, header)?),
-        TraceFormat::Binary => Box::new(BinarySink::new(writer, header)?),
+        TraceFormat::Jsonl => Box::new(JsonlSink::new(io::BufWriter::new(file), header)?),
+        TraceFormat::Binary => Box::new(BinarySink::new(file, header)?),
     })
 }
 
@@ -322,7 +393,7 @@ mod tests {
         record_all(&mut jsonl, &events());
         let mut sink = BinarySink::new(Vec::new(), &header()).unwrap();
         record_all(&mut sink, &events());
-        let bytes = sink.into_inner();
+        let bytes = sink.into_inner().unwrap();
         let (h, evs) = read_bytes(&bytes).unwrap();
         assert_eq!(h, header());
         assert_eq!(evs, events());
@@ -348,7 +419,8 @@ mod tests {
         // Truncated binary record.
         let mut sink = BinarySink::new(Vec::new(), &header()).unwrap();
         sink.record(&events()[0]).unwrap();
-        let bytes = sink.into_inner();
+        let bytes = sink.into_inner().unwrap();
+        assert_eq!(read_bytes(&bytes).unwrap().1, events()[..1]);
         assert!(read_bytes(&bytes[..bytes.len() - 3]).is_err());
         // Wrong binary version.
         let mut bad = bytes.clone();
@@ -373,5 +445,170 @@ mod tests {
             assert_eq!(evs, events());
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// The DESIGN §5d layout, written out byte by byte and independent
+    /// of the sink's constants: the oracle for [`BinarySink`].
+    fn reference_encoding(h: &TraceHeader, events: &[TraceEvent]) -> Vec<u8> {
+        let json = serde_json::to_string(h).unwrap();
+        let mut out = b"BTRC".to_vec();
+        out.push(1);
+        out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        out.extend_from_slice(json.as_bytes());
+        for e in events {
+            let (tag, agent) = match e.kind {
+                TraceKind::Request { agent } => (0, agent),
+                TraceKind::ArbitrationStart { winner, .. } => (1, winner),
+                TraceKind::TransferStart { agent } => (2, agent),
+                TraceKind::TransferEnd { agent, .. } => (3, agent),
+                TraceKind::Coherence { agent, .. } => (4, agent),
+            };
+            out.push(tag);
+            out.extend_from_slice(&e.at.as_f64().to_le_bytes());
+            out.extend_from_slice(&agent.get().to_le_bytes());
+            match e.kind {
+                TraceKind::ArbitrationStart { completes, .. } => {
+                    out.extend_from_slice(&completes.as_f64().to_le_bytes());
+                }
+                TraceKind::TransferEnd { wait, .. } => out.extend_from_slice(&wait.to_le_bytes()),
+                TraceKind::Coherence {
+                    op, invalidated, ..
+                } => {
+                    out.push(match op {
+                        CoherenceOp::ReadMiss => 0,
+                        CoherenceOp::WriteMiss => 1,
+                        CoherenceOp::Upgrade => 2,
+                    });
+                    out.extend_from_slice(&invalidated.to_le_bytes());
+                }
+                TraceKind::Request { .. } | TraceKind::TransferStart { .. } => {}
+            }
+        }
+        out
+    }
+
+    /// Mixed records filling three 64 KiB spans of the file after a
+    /// `preamble`-byte preamble, with a coherence record straddling
+    /// each 64 KiB edge. Returns the events and the straddle count.
+    fn straddling_events(preamble: usize) -> (Vec<TraceEvent>, usize) {
+        const EDGE: usize = 64 << 10;
+        let mixed = events();
+        let (mut out, mut offset, mut straddles) = (Vec::new(), preamble, 0);
+        while offset < 3 * EDGE + 100 {
+            let to_edge = EDGE - offset % EDGE;
+            let at = Time::from(out.len() as f64 * 0.25);
+            let kind = if to_edge < 18 {
+                straddles += 1;
+                TraceKind::Coherence {
+                    agent: id(2),
+                    op: CoherenceOp::Upgrade,
+                    invalidated: 3,
+                }
+            } else if to_edge < 35 {
+                TraceKind::Request { agent: id(3) }
+            } else {
+                mixed[out.len() % mixed.len()].kind
+            };
+            offset += match kind {
+                TraceKind::Request { .. } | TraceKind::TransferStart { .. } => 13,
+                TraceKind::Coherence { .. } => 18,
+                _ => 21,
+            };
+            out.push(TraceEvent { at, kind });
+        }
+        (out, straddles)
+    }
+
+    /// A writer that logs every `write` call and keeps the bytes.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn block_sink_matches_the_documented_layout_across_blocks() {
+        let preamble = reference_encoding(&header(), &[]).len();
+        let (events, straddles) = straddling_events(preamble);
+        assert_eq!(straddles, 3);
+        let expected = reference_encoding(&header(), &events);
+        let mut sink = BinarySink::new(Recorder::default(), &header()).unwrap();
+        for e in &events {
+            sink.record(e).unwrap();
+        }
+        sink.finish().unwrap();
+        let recorder = sink.into_inner().unwrap();
+        assert!(recorder.bytes == expected, "block sink bytes differ");
+        // One preamble write, then whole blocks: every write but the
+        // last leaves less than one record of the block unused.
+        let (first, blocks) = recorder.writes.split_first().unwrap();
+        assert_eq!(*first, preamble);
+        assert!(blocks.len() >= 3, "{:?}", recorder.writes);
+        for &n in &blocks[..blocks.len() - 1] {
+            assert!(n > BLOCK_BYTES - RECORD_MAX && n <= BLOCK_BYTES, "{n}");
+        }
+    }
+
+    /// A writer whose `fail_on`-th `write` call fails.
+    struct FailingWriter {
+        fail_on: usize,
+        calls: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                Err(io::Error::other("injected write failure"))
+            } else {
+                Ok(buf.len())
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_write_is_reported() {
+        let (events, _) = straddling_events(0);
+        let export = |fail_on| -> io::Result<()> {
+            let writer = FailingWriter { fail_on, calls: 0 };
+            let mut sink = BinarySink::new(writer, &header())?;
+            for e in &events {
+                sink.record(e)?;
+            }
+            sink.finish()
+        };
+        // The preamble plus three blocks: fail each write in turn.
+        for fail_on in 1..=4 {
+            let err = export(fail_on).expect_err("a failed write must surface");
+            assert_eq!(err.to_string(), "injected write failure", "{fail_on}");
+        }
+        export(usize::MAX).unwrap();
+    }
+
+    #[test]
+    fn a_dropped_sink_writes_its_pending_block() {
+        let mut bytes = Vec::new();
+        let mut sink = BinarySink::new(&mut bytes, &header()).unwrap();
+        for e in &events() {
+            sink.record(e).unwrap();
+        }
+        drop(sink);
+        assert!(bytes == reference_encoding(&header(), &events()));
     }
 }

@@ -198,21 +198,25 @@ impl TraceHeader {
 ///
 /// The simulator drives a sink once per trace event and calls
 /// [`TraceSink::finish`] exactly once at the end of the run. The sinks
-/// here write through to I/O ([`JsonlSink`], [`BinarySink`]); the
+/// here write to I/O: [`JsonlSink`] writes each line through to its
+/// writer, and [`BinarySink`] encodes records into a 64 KiB block of
+/// its own that reaches its writer when full and at `finish`. The
 /// simulator's bounded in-memory trace is `busarb_sim::Trace`.
 pub trait TraceSink {
     /// Records one event.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from write-through sinks.
+    /// Propagates I/O errors of the writes the record causes (for
+    /// [`BinarySink`], the write of a full block).
     fn record(&mut self, event: &TraceEvent) -> std::io::Result<()>;
 
-    /// Flushes and finalizes the sink at the end of the run.
+    /// Writes out anything still buffered and flushes the writer, at
+    /// the end of the run.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from write-through sinks.
+    /// Propagates I/O errors from those writes.
     fn finish(&mut self) -> std::io::Result<()>;
 }
 

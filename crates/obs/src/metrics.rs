@@ -19,7 +19,7 @@ pub const RATE_WINDOW: f64 = 64.0;
 
 /// A fixed-bucket base-2 log-scale histogram over non-negative samples.
 ///
-/// Samples are quantized to [`SCALE`] counts per unit; bucket `i` then
+/// Samples are quantized to 1024 counts per unit; bucket `i` then
 /// covers the half-open range `[bucket_edge(i-1), bucket_edge(i))` with
 /// exclusive upper edges doubling from `1/1024` time units (bucket 0,
 /// which also absorbs everything below the resolution) up to

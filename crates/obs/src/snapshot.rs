@@ -21,7 +21,7 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Largest recorded sample (`null` in JSON when empty).
     pub max: f64,
-    /// Per-bucket counts ([`HISTOGRAM_BUCKETS`] entries).
+    /// Per-bucket counts ([`crate::HISTOGRAM_BUCKETS`] entries).
     pub buckets: Vec<u64>,
 }
 

@@ -22,8 +22,8 @@ use std::path::Path;
 use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
 use crate::export::{
-    coherence_op_from_code, coherence_op_from_slug, MAGIC, TAG_ARBITRATION, TAG_COHERENCE, TAG_END,
-    TAG_REQUEST, TAG_TRANSFER, VERSION,
+    coherence_op_from_code, coherence_op_from_slug, MAGIC, RECORD_MAX, TAG_ARBITRATION,
+    TAG_COHERENCE, TAG_END, TAG_REQUEST, TAG_TRANSFER, VERSION,
 };
 use crate::{TraceFormat, TraceHeader};
 
@@ -428,11 +428,6 @@ fn parse_header(text: &str, offset: u64, line: Option<u64>) -> Result<TraceHeade
     TraceHeader::from_value(&value)
         .map_err(|e| StreamError::new(offset, line, format!("bad header: {e}")))
 }
-
-/// Longest binary record, tag byte included: arbitration-start and
-/// transfer-end records carry an f64 payload after the tag, `at` and
-/// agent.
-const RECORD_MAX: usize = 21;
 
 /// Why one binary record (or one JSONL field) failed validation.
 ///

@@ -1,11 +1,14 @@
-//! Allocation regression: the metrics hot path must not touch the heap.
+//! Allocation regression: the metrics hot path and the binary trace
+//! sink must not touch the heap.
 //!
 //! Every `MetricsRegistry::on_*` method runs once per simulated event —
-//! inside the engine's monomorphized hot loop. All registry storage is
-//! preallocated at construction, so steady-state updates must perform
-//! zero heap allocations. This test pins that with a counting global
-//! allocator, the same harness as `busarb-bus`'s arbitration hot-path
-//! test.
+//! inside the engine's monomorphized hot loop — and so does
+//! `BinarySink::record` when the run exports a binary trace. Registry
+//! storage and the sink's block are allocated at construction, so
+//! steady-state updates and records (block writes included) must
+//! perform zero heap allocations. This test pins that with a counting
+//! global allocator, the same harness as `busarb-bus`'s arbitration
+//! hot-path test.
 //!
 //! All checks live in ONE `#[test]` function: the test harness runs
 //! tests on separate threads, and a concurrently running test would
@@ -14,8 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use busarb_obs::MetricsRegistry;
-use busarb_types::{AgentId, Time};
+use busarb_obs::{BinarySink, MetricsRegistry, TraceHeader, TraceSink, TRACE_SCHEMA};
+use busarb_types::{AgentId, CoherenceOp, Time, TraceEvent, TraceKind};
 
 struct CountingAllocator;
 
@@ -79,4 +82,42 @@ fn metrics_hot_path_does_not_allocate() {
 
     let allocs = steady_allocations_in(|| drive(&mut registry, 4096));
     assert_eq!(allocs, 0, "metrics hot path allocated");
+
+    // The binary sink: 4096 records of every kind span more than one
+    // 64 KiB block, so each window also writes a block out.
+    let header = TraceHeader {
+        schema: TRACE_SCHEMA.to_string(),
+        protocol: "rr".to_string(),
+        agents: n,
+        seed: 1,
+        warmup_samples: 0,
+        batches: 2,
+        samples_per_batch: 1,
+        confidence: 0.9,
+    };
+    let mut sink = BinarySink::new(std::io::sink(), &header).expect("header encodes");
+    let record = |sink: &mut BinarySink<std::io::Sink>, rounds: usize| {
+        for i in 0..rounds {
+            let agent = ids[i % ids.len()];
+            let at = Time::from(i as f64 * 0.37);
+            let kind = match i % 5 {
+                0 => TraceKind::Request { agent },
+                1 => TraceKind::ArbitrationStart {
+                    winner: agent,
+                    completes: Time::from(i as f64),
+                },
+                2 => TraceKind::TransferStart { agent },
+                3 => TraceKind::TransferEnd { agent, wait: 1.5 },
+                _ => TraceKind::Coherence {
+                    agent,
+                    op: CoherenceOp::WriteMiss,
+                    invalidated: 2,
+                },
+            };
+            sink.record(&TraceEvent { at, kind }).expect("sink writes");
+        }
+    };
+    record(&mut sink, 64);
+    let allocs = steady_allocations_in(|| record(&mut sink, 4096));
+    assert_eq!(allocs, 0, "BinarySink::record allocated");
 }

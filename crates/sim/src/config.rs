@@ -7,7 +7,7 @@ use busarb_stats::BatchMeansConfig;
 use busarb_types::Time;
 use busarb_workload::{DrawEngineKind, Scenario};
 
-/// Destination and format of a write-through structured trace export.
+/// Destination and format of a structured trace export to a file.
 ///
 /// Unlike the bounded in-memory trace (`trace_limit`), an export writes
 /// **every** event of the run to disk as it happens, in a

@@ -262,7 +262,7 @@ struct Runner<'c, A: Arbiter, E: DrawEngine, const W: usize> {
     last_counted: Time,
     trace: Trace,
     /// `true` when any trace consumer is attached (in-memory trace or
-    /// write-through export) — one cached flag so the hot path pays a
+    /// file export) — one cached flag so the hot path pays a
     /// single predictable branch per trace site when observability is
     /// off.
     observing: bool,
@@ -347,7 +347,7 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
     }
 
     /// Routes one trace event to every attached consumer (bounded
-    /// in-memory trace and/or write-through export). Call sites guard on
+    /// in-memory trace and/or file export). Call sites guard on
     /// `self.observing` so the disabled case pays one branch, not a
     /// call.
     #[inline]

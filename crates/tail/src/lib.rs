@@ -8,7 +8,9 @@
 //! from production-scale runs are far larger than RAM; the reader
 //! decodes binary records in place from a fixed-size read buffer, and
 //! every analyzer here keeps state that is O(agents + histogram
-//! buckets), so peak memory is independent of trace length. The
+//! buckets), so peak memory is independent of trace length.
+//! [`analyze`] decodes on a second thread, a batch of events ahead of
+//! the analyzers, with the same report and errors as one thread. The
 //! benchmark's `trace-roundtrip` workload times each stage per event
 //! (`obs.stream`, `obs.replay` and `tail.*`).
 //!
@@ -45,10 +47,12 @@ pub use adapters::{
 pub use fairness::{FairnessReport, FairnessTracker, FAIRNESS_STRIDE, FAIRNESS_WINDOW};
 pub use usage::{BusUsage, UsageReport};
 
+use std::collections::VecDeque;
 use std::io::Read;
 use std::path::Path;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-use busarb_obs::{ReplayBuilder, TraceFormat, TraceHeader, TraceReader};
+use busarb_obs::{ReplayBuilder, StreamError, TraceFormat, TraceHeader, TraceReader};
 use busarb_types::{TraceEvent, TraceKind};
 use serde::Serialize;
 
@@ -286,20 +290,176 @@ impl Pipeline {
 
 /// Drives a [`TraceReader`] to exhaustion through a [`Pipeline`].
 ///
+/// The reader decodes on a second (scoped) thread, a batch of events
+/// ahead of the fold on this one; the report and any error are the ones
+/// a serial `next_event`/[`Pipeline::push`] loop gives, because batches
+/// and the stream's end arrive in stream order.
+///
 /// # Errors
 ///
 /// Propagates structured stream errors (`busarb_obs::StreamError`,
 /// carrying the byte offset of the failure) wrapped in
 /// [`std::io::Error`], and `InvalidData` errors from the analyzers.
-pub fn analyze<R: Read>(
+pub fn analyze<R: Read + Send>(
     source: &str,
     reader: &mut TraceReader<R>,
 ) -> std::io::Result<AnalysisReport> {
     let mut pipeline = Pipeline::new(reader.header())?;
-    while let Some(event) = reader.next_event()? {
-        pipeline.push(&event)?;
+    let format = reader.format();
+    fold_decoded(reader, |event| pipeline.push(event))?;
+    Ok(pipeline.report(source, format))
+}
+
+/// Events per batch the decode thread hands to the fold.
+const BATCH_EVENTS: usize = 1024;
+/// Batches circulating between the two threads, allocated up front.
+const RING_BATCHES: usize = 3;
+
+/// One batch of decoded events; `end` is set on the stream's last
+/// batch: `Ok` at a clean end, or the first decode error.
+struct Batch {
+    events: Vec<TraceEvent>,
+    end: Option<Result<(), StreamError>>,
+}
+
+/// The ring between the decode thread and the fold: free batches for
+/// the worker, full ones for the fold in stream order, and whether
+/// either side has stopped. Unlike `std::sync::mpsc`, whose first
+/// blocking wait on a thread can allocate, nothing here allocates
+/// after [`Handoff::new`].
+struct Handoff {
+    ring: Mutex<Ring>,
+    changed: Condvar,
+}
+
+struct Ring {
+    free: Vec<Vec<TraceEvent>>,
+    full: VecDeque<Batch>,
+    closed: bool,
+}
+
+impl Handoff {
+    fn new() -> Self {
+        Handoff {
+            ring: Mutex::new(Ring {
+                free: (0..RING_BATCHES)
+                    .map(|_| Vec::with_capacity(BATCH_EVENTS))
+                    .collect(),
+                full: VecDeque::with_capacity(RING_BATCHES),
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
     }
-    Ok(pipeline.report(source, reader.format()))
+
+    /// Waits until `ready` holds, then applies `take` and wakes the
+    /// other side. A panic while the lock was held stops that side,
+    /// which closes the ring, so a poisoned lock is used as is.
+    fn wait_then<T>(&self, ready: impl Fn(&Ring) -> bool, take: impl FnOnce(&mut Ring) -> T) -> T {
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ring = self
+            .changed
+            .wait_while(ring, |r| !ready(r))
+            .unwrap_or_else(PoisonError::into_inner);
+        let out = take(&mut ring);
+        self.changed.notify_all();
+        out
+    }
+
+    /// The worker's next free batch; `None` once the fold has stopped.
+    fn take_free(&self) -> Option<Vec<TraceEvent>> {
+        self.wait_then(
+            |r| r.closed || !r.free.is_empty(),
+            |r| {
+                if r.closed {
+                    None
+                } else {
+                    r.free.pop()
+                }
+            },
+        )
+    }
+
+    /// The fold's next full batch; `None` once the worker has stopped
+    /// and every batch it sent has been taken.
+    fn take_full(&self) -> Option<Batch> {
+        self.wait_then(|r| r.closed || !r.full.is_empty(), |r| r.full.pop_front())
+    }
+
+    fn put_full(&self, batch: Batch) {
+        self.wait_then(|_| true, |r| r.full.push_back(batch));
+    }
+
+    fn put_free(&self, events: Vec<TraceEvent>) {
+        self.wait_then(|_| true, |r| r.free.push(events));
+    }
+}
+
+/// Closes the ring when one side stops, by return, error or panic, so
+/// the other side never waits for it.
+struct Closes<'a>(&'a Handoff);
+
+impl Drop for Closes<'_> {
+    fn drop(&mut self) {
+        self.0.wait_then(|_| true, |r| r.closed = true);
+    }
+}
+
+/// Feeds every event of `reader` to `fold`, in stream order, stopping
+/// at the first error of either side.
+///
+/// A scoped worker thread runs `next_event` into batches drawn from a
+/// ring of [`RING_BATCHES`] buffers allocated before it starts, and
+/// hands them back full; this thread folds each batch and returns its
+/// buffer. The stream's end or decode error travels after the events
+/// decoded before it, so it surfaces only if none of those failed the
+/// fold. Whichever side stops first closes the ring, so a worker left
+/// decoding ahead of a failed fold stops instead of blocking the join.
+fn fold_decoded<R: Read + Send>(
+    reader: &mut TraceReader<R>,
+    mut fold: impl FnMut(&TraceEvent) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let handoff = Handoff::new();
+    std::thread::scope(|scope| {
+        scope.spawn(|| decode_batches(reader, &handoff));
+        let _closes = Closes(&handoff);
+        loop {
+            let Some(Batch { events, end }) = handoff.take_full() else {
+                // Only a panicking worker stops before sending `end`;
+                // the scope re-raises its panic.
+                return Err(std::io::Error::other("trace decode thread stopped"));
+            };
+            for event in &events {
+                fold(event)?;
+            }
+            if let Some(end) = end {
+                return end.map_err(Into::into);
+            }
+            handoff.put_free(events);
+        }
+    })
+}
+
+/// The decode thread: fills free batches from `reader` and hands them
+/// over until the stream ends, fails, or the fold stops.
+fn decode_batches<R: Read>(reader: &mut TraceReader<R>, handoff: &Handoff) {
+    let _closes = Closes(handoff);
+    while let Some(mut events) = handoff.take_free() {
+        events.clear();
+        let mut end = None;
+        while end.is_none() && events.len() < BATCH_EVENTS {
+            match reader.next_event() {
+                Ok(Some(event)) => events.push(event),
+                Ok(None) => end = Some(Ok(())),
+                Err(e) => end = Some(Err(e)),
+            }
+        }
+        let last = end.is_some();
+        handoff.put_full(Batch { events, end });
+        if last {
+            return;
+        }
+    }
 }
 
 /// Opens a trace file and analyzes it end to end, streaming.
@@ -316,7 +476,7 @@ pub fn analyze_path(path: &Path) -> std::io::Result<AnalysisReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use busarb_obs::{JsonlSink, TraceSink, TRACE_SCHEMA};
+    use busarb_obs::{stream_error, BinarySink, JsonlSink, TraceSink, TRACE_SCHEMA};
     use busarb_types::{AgentId, Time};
 
     fn header(protocol: &str, agents: u32) -> TraceHeader {
@@ -403,5 +563,133 @@ mod tests {
         let text = r.render_text();
         assert!(text.contains("fcfs-lag"));
         assert!(text.contains("usage"));
+    }
+
+    // -----------------------------------------------------------------
+    // The decode thread against a serial fold.
+    // -----------------------------------------------------------------
+
+    fn encode(format: TraceFormat, h: &TraceHeader, events: &[TraceEvent]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut sink: Box<dyn TraceSink + '_> = match format {
+            TraceFormat::Jsonl => Box::new(JsonlSink::new(&mut bytes, h).unwrap()),
+            TraceFormat::Binary => Box::new(BinarySink::new(&mut bytes, h).unwrap()),
+        };
+        for e in events {
+            sink.record(e).unwrap();
+        }
+        sink.finish().unwrap();
+        drop(sink);
+        bytes
+    }
+
+    /// The oracle: `next_event` and `Pipeline::push` in one loop.
+    fn serial(reader: &mut TraceReader<&[u8]>) -> std::io::Result<AnalysisReport> {
+        let mut pipeline = Pipeline::new(reader.header())?;
+        while let Some(event) = reader.next_event()? {
+            pipeline.push(&event)?;
+        }
+        Ok(pipeline.report("t", reader.format()))
+    }
+
+    /// What a caller can see of an analysis: the JSON report, or the
+    /// error's kind, text and structured stream error.
+    type Seen = Result<String, (std::io::ErrorKind, String, Option<busarb_obs::StreamError>)>;
+
+    fn seen(result: std::io::Result<AnalysisReport>) -> Seen {
+        result
+            .map(|r| r.to_json())
+            .map_err(|e| (e.kind(), e.to_string(), stream_error(&e).cloned()))
+    }
+
+    /// Analyzes `bytes` both ways, asserts they agree, and returns it.
+    fn matches_serial(bytes: &[u8]) -> Seen {
+        let threaded = seen(analyze("t", &mut TraceReader::new(bytes).unwrap()));
+        let oracle = seen(serial(&mut TraceReader::new(bytes).unwrap()));
+        assert_eq!(threaded, oracle);
+        threaded
+    }
+
+    /// A completion naming agent 3, outside a two-agent roster.
+    fn bad_agent(at: f64) -> TraceEvent {
+        TraceEvent {
+            at: Time::from(at),
+            kind: TraceKind::TransferEnd {
+                agent: AgentId::new(3).unwrap(),
+                wait: 0.5,
+            },
+        }
+    }
+
+    #[test]
+    fn multi_batch_traces_match_the_serial_fold() {
+        let h = header("rr", 2);
+        let events = synthetic(2 * BATCH_EVENTS + 7);
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let report = matches_serial(&encode(format, &h, &events)).unwrap();
+            assert!(report.contains(&format!("\"events\":{}", events.len())));
+            let header_only = matches_serial(&encode(format, &h, &[])).unwrap();
+            assert!(header_only.contains("\"events\":0"));
+        }
+    }
+
+    #[test]
+    fn a_bad_agent_before_a_truncation_reports_the_agent() {
+        let h = header("rr", 2);
+        let mut events = synthetic(2 * BATCH_EVENTS);
+        events.insert(5 * BATCH_EVENTS / 2, bad_agent(1e6));
+        let bytes = encode(TraceFormat::Binary, &h, &events);
+        let (_, text, stream) = matches_serial(&bytes[..bytes.len() - 5]).unwrap_err();
+        assert!(text.contains("agent"), "{text}");
+        assert!(stream.is_some());
+    }
+
+    #[test]
+    fn a_truncation_before_a_bad_agent_reports_the_truncation() {
+        let h = header("rr", 2);
+        let mut events = synthetic(2 * BATCH_EVENTS);
+        events.push(bad_agent(1e6));
+        let bytes = encode(TraceFormat::Binary, &h, &events);
+        // Keep the last record's tag and five bytes of its timestamp.
+        let record = bytes.len() - 21;
+        let (_, _, stream) = matches_serial(&bytes[..record + 6]).unwrap_err();
+        let stream = stream.expect("structured stream error");
+        assert!(stream.message.contains("truncated"), "{stream}");
+        assert_eq!(stream.offset, record as u64);
+    }
+
+    #[test]
+    fn a_fold_error_with_batches_unread_returns() {
+        let h = header("rr", 2);
+        let bytes = encode(TraceFormat::Binary, &h, &synthetic(20 * BATCH_EVENTS));
+        // A one-agent roster fails the fold at agent 2's first
+        // completion, the eighth event, with ~80 batches still to come.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let fold = |reader: &mut TraceReader<&[u8]>, threaded: bool| {
+                let mut pipeline = Pipeline::new(&header("rr", 1)).unwrap();
+                let mut folded = 0;
+                let mut push = |event: &TraceEvent| {
+                    folded += 1;
+                    pipeline.push(event)
+                };
+                let result = if threaded {
+                    fold_decoded(reader, push)
+                } else {
+                    std::iter::from_fn(|| reader.next_event().transpose())
+                        .try_for_each(|event| push(&event?))
+                };
+                (result.map_err(|e| e.to_string()), folded)
+            };
+            let threaded = fold(&mut TraceReader::new(&bytes[..]).unwrap(), true);
+            let oracle = fold(&mut TraceReader::new(&bytes[..]).unwrap(), false);
+            let _ = tx.send((threaded, oracle));
+        });
+        let (threaded, oracle) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the fold returned after its error");
+        assert_eq!(threaded, oracle);
+        assert_eq!(threaded.1, 8);
+        assert!(threaded.0.unwrap_err().contains("roster"));
     }
 }

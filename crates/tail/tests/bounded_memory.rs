@@ -10,9 +10,10 @@
 //! mark, synthesizes BTRC streams of two very different lengths on the
 //! fly (no file, no materialized event list — the generator itself is
 //! O(1)), and asserts the peak for the long stream does not exceed the
-//! short stream's peak plus slack. It also pins the hot loop: after the
-//! pipeline is warm, pushing events performs zero steady-state
-//! allocations.
+//! short stream's peak plus slack, and that both make the same number
+//! of allocations (the decode thread and its batch ring cost a fixed
+//! count). It also pins the hot loop: after the pipeline is warm,
+//! pushing events performs zero steady-state allocations.
 //!
 //! Everything runs in ONE `#[test]`: the harness runs tests on separate
 //! threads and the allocator counters are process-wide.
@@ -74,23 +75,26 @@ fn header(agents: u32) -> TraceHeader {
     }
 }
 
-/// Peak live heap while analyzing a synthetic stream of `n` transactions.
-fn peak_during_analysis(n: u64) -> (usize, u64) {
+/// Peak live heap while analyzing a synthetic stream of `n`
+/// transactions, and the allocations `analyze` itself made.
+fn peak_during_analysis(n: u64) -> (usize, usize, u64) {
     let h = header(8);
     let stream = SyntheticBtrc::new(&h, n);
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let base = LIVE.load(Ordering::Relaxed);
     let mut reader = TraceReader::new(stream).expect("synthetic stream is valid");
+    let allocs = ALLOCS.load(Ordering::Relaxed);
     let report = analyze("synthetic", &mut reader).expect("synthetic stream analyzes");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
     let peak = PEAK.load(Ordering::Relaxed) - base;
-    (peak, report.events)
+    (peak, allocs, report.events)
 }
 
 #[test]
 fn peak_memory_is_independent_of_trace_length_and_hot_path_is_steady() {
     // --- Peak-vs-length: 16× more events, same peak (plus slack). ---
-    let (short_peak, short_events) = peak_during_analysis(8_192);
-    let (long_peak, long_events) = peak_during_analysis(16 * 8_192);
+    let (short_peak, short_allocs, short_events) = peak_during_analysis(8_192);
+    let (long_peak, long_allocs, long_events) = peak_during_analysis(16 * 8_192);
     assert_eq!(short_events, 4 * 8_192);
     assert_eq!(long_events, 4 * 16 * 8_192);
     // The pipeline state is identical in both runs; the only variable
@@ -100,6 +104,13 @@ fn peak_memory_is_independent_of_trace_length_and_hot_path_is_steady() {
     assert!(
         long_peak <= short_peak + (64 << 10),
         "peak grew with trace length: short {short_peak} vs long {long_peak}"
+    );
+    // The decode thread's batches are allocated before it starts and
+    // the hand-off between the threads never allocates, so a trace 16x
+    // longer costs not one allocation more.
+    assert_eq!(
+        short_allocs, long_allocs,
+        "allocations grew with trace length"
     );
 
     // --- Steady state: a warm pipeline pushes events without heap. ---

@@ -76,7 +76,7 @@ fn encode_binary(h: &TraceHeader, events: &[TraceEvent]) -> Vec<u8> {
         sink.record(e).unwrap();
     }
     sink.finish().unwrap();
-    sink.into_inner()
+    sink.into_inner().unwrap()
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Exhaustive bounded model checking for the arbitration protocol family.
 //!
-//! For each [`ProtocolKind`](busarb_core::ProtocolKind) the checker builds
+//! For each [`busarb_core::ProtocolKind`] the checker builds
 //! a *lockstep group* — the scheduling-level arbiter(s) from `busarb-core`
 //! plus the signal-level register model(s) from `busarb_bus::signal` where
 //! they exist — and explores every reachable state of the group under

@@ -360,7 +360,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec<T>` (returned by [`vec`]).
+    /// Strategy for `Vec<T>` (returned by [`vec()`]).
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
