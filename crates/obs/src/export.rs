@@ -593,8 +593,12 @@ mod tests {
             }
             sink.finish()
         };
-        // The preamble plus three blocks: fail each write in turn.
-        for fail_on in 1..=4 {
+        // The preamble and every block: fail each write in turn.
+        let mut sink = BinarySink::new(Recorder::default(), &header()).unwrap();
+        record_all(&mut sink, &events);
+        let writes = sink.into_inner().unwrap().writes.len();
+        assert!(writes >= 4, "{writes}");
+        for fail_on in 1..=writes {
             let err = export(fail_on).expect_err("a failed write must surface");
             assert_eq!(err.to_string(), "injected write failure", "{fail_on}");
         }

@@ -352,18 +352,23 @@ impl Handoff {
         }
     }
 
-    /// Waits until `ready` holds, then applies `take` and wakes the
-    /// other side. A panic while the lock was held stops that side,
-    /// which closes the ring, so a poisoned lock is used as is.
+    /// Waits until `ready` holds, then applies `take`. Taking a batch
+    /// never unblocks the other side, so it wakes no one. A panic while
+    /// the lock was held stops that side, which closes the ring, so a
+    /// poisoned lock is used as is.
     fn wait_then<T>(&self, ready: impl Fn(&Ring) -> bool, take: impl FnOnce(&mut Ring) -> T) -> T {
         let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         let mut ring = self
             .changed
             .wait_while(ring, |r| !ready(r))
             .unwrap_or_else(PoisonError::into_inner);
-        let out = take(&mut ring);
+        take(&mut ring)
+    }
+
+    /// Applies `put` and wakes the side that may be waiting for it.
+    fn update(&self, put: impl FnOnce(&mut Ring)) {
+        put(&mut self.ring.lock().unwrap_or_else(PoisonError::into_inner));
         self.changed.notify_all();
-        out
     }
 
     /// The worker's next free batch; `None` once the fold has stopped.
@@ -387,11 +392,11 @@ impl Handoff {
     }
 
     fn put_full(&self, batch: Batch) {
-        self.wait_then(|_| true, |r| r.full.push_back(batch));
+        self.update(|r| r.full.push_back(batch));
     }
 
     fn put_free(&self, events: Vec<TraceEvent>) {
-        self.wait_then(|_| true, |r| r.free.push(events));
+        self.update(|r| r.free.push(events));
     }
 }
 
@@ -401,7 +406,7 @@ struct Closes<'a>(&'a Handoff);
 
 impl Drop for Closes<'_> {
     fn drop(&mut self) {
-        self.0.wait_then(|_| true, |r| r.closed = true);
+        self.0.update(|r| r.closed = true);
     }
 }
 
