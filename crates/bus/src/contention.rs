@@ -84,9 +84,9 @@ pub struct ParallelContention {
 /// The most competitors one resolve can host: every agent of a maximal
 /// 128-agent system applying a pattern at once. Keeping the bound static
 /// lets `settle` hold the per-competitor applied-pattern plane in a stack
-/// array — `settle` is the innermost loop of every simulated arbitration,
-/// and both a per-resolve `Vec` and the `Mutex<Vec>` scratch buffer that
-/// replaced it were measurable there.
+/// array, so a resolve takes neither a heap buffer nor a lock. `settle`
+/// runs once per signal-level arbitration; the simulator's event loop
+/// uses the scheduling-level arbiters and never calls it.
 const MAX_COMPETITORS: usize = 128;
 
 impl ParallelContention {
@@ -212,9 +212,9 @@ impl ParallelContention {
     fn settle(&self, competitors: &[u64], mut trace: Option<&mut Vec<u64>>) -> Resolution {
         // With 0 or 1 competitors the lines settle in the initial
         // application round — there is no conflicting bit to withdraw from
-        // — so skip the scratch-buffer lock and the fixpoint iteration
-        // entirely. Uncontended arbitrations dominate low-load cells, which
-        // makes this the most common resolve shape in a sweep.
+        // — so skip the plane and the fixpoint iteration entirely.
+        // Uncontended arbitrations dominate low-load cells, which makes
+        // this the most common resolve shape in a sweep.
         if competitors.len() <= 1 {
             let winner = competitors.first().copied().unwrap_or(0);
             if let Some(t) = trace.as_deref_mut() {

@@ -6,8 +6,8 @@
 //! with a file trace export, analyze the export with
 //! [`busarb_tail::analyze_path`] (the engine behind `busarb analyze`),
 //! and require its replayed aggregates to match the live [`RunReport`]
-//! within floating-point round-off. The `repro cell` command and the CI
-//! observability step both drive this module.
+//! bit for bit. The `repro cell` command and the CI observability step
+//! both drive this module.
 
 use std::path::Path;
 
@@ -49,13 +49,9 @@ pub fn run_pinned(scale: Scale, export: Option<(&Path, TraceFormat)>) -> RunRepo
     run_config_kind(config, PINNED_KIND, PINNED_TAG)
 }
 
-/// Relative closeness at f64 round-off scale.
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
-}
-
 /// Checks that an analyzed export (the `protocol` its header names and
-/// its [`ReplaySummary`]) reproduces the live run's aggregates.
+/// its [`ReplaySummary`]) reproduces the live run's aggregates: the
+/// counts exactly and the floating-point values bit for bit.
 ///
 /// # Errors
 ///
@@ -81,18 +77,26 @@ pub fn cross_check(
             replayed.samples
         ));
     }
-    match replayed.mean_wait {
-        Some(mean) if close(mean, live.mean_wait.mean) => {}
-        Some(mean) => mismatches.push(format!(
-            "mean wait: live {} vs replayed {mean}",
-            live.mean_wait.mean
-        )),
-        None => mismatches.push("mean wait: replay batches incomplete".to_string()),
-    }
-    if !close(live.utilization, replayed.utilization) {
+    let mut compare = |field: &str, live: f64, replayed: Option<f64>| match replayed {
+        Some(value) if value.to_bits() == live.to_bits() => {}
+        Some(value) => mismatches.push(format!("{field}: live {live} vs replayed {value}")),
+        None => mismatches.push(format!("{field}: replay batches incomplete")),
+    };
+    compare("mean wait", live.mean_wait.mean, replayed.mean_wait);
+    compare("half-width", live.mean_wait.halfwidth, replayed.halfwidth);
+    compare("utilization", live.utilization, Some(replayed.utilization));
+    compare(
+        "measured time",
+        live.measured_time.as_f64(),
+        Some(replayed.measured_time),
+    );
+    let per_agent: Vec<u64> = (0..live.tally.series())
+        .map(|a| live.tally.total(a))
+        .collect();
+    if per_agent != replayed.per_agent_samples {
         mismatches.push(format!(
-            "utilization: live {} vs replayed {}",
-            live.utilization, replayed.utilization
+            "per-agent samples: live {per_agent:?} vs replayed {:?}",
+            replayed.per_agent_samples
         ));
     }
     if live.metrics.completions != replayed.completions {
@@ -198,12 +202,15 @@ mod tests {
         let diffs = cross_check(&live, &analysis.protocol, &analysis.replay)
             .expect_err("everything differs");
         let msg = diffs.join("; ");
-        assert_eq!(diffs.len(), 5, "{msg}");
+        assert_eq!(diffs.len(), 8, "{msg}");
         for field in [
             "protocol",
             "samples",
             "mean wait",
+            "half-width",
             "utilization",
+            "measured time",
+            "per-agent samples",
             "completions",
         ] {
             assert!(msg.contains(field), "{field} missing from {msg}");

@@ -1,15 +1,16 @@
-//! Observability invariants, across protocols and scenario shapes:
+//! Observability invariants, across every protocol, open-loop scenario
+//! shapes and the closed-loop MESI workload:
 //!
 //! * **Conservation** — the always-on metrics registry counts the same
-//!   requests, grants and completions as an independent replay of the
-//!   run's exported trace, its per-agent completion tallies sum exactly
-//!   to the total, and grants can exceed completions only by the grants
-//!   still in flight when the run stops (at most the elected next
-//!   master, an arbitration in progress, and the transfer on the bus).
+//!   requests, grants and completions as a replay of the run's exported
+//!   trace, its per-agent completion tallies sum exactly to the total,
+//!   and grants can exceed completions only by the grants still in
+//!   flight when the run stops (at most the elected next master, an
+//!   arbitration in progress, and the transfer on the bus).
 //! * **Round trip** — analyzing an exported trace with
 //!   `busarb_tail::analyze_path` (the engine behind `busarb analyze`
-//!   and `repro cell`) reproduces the live run's mean wait and
-//!   utilization exactly.
+//!   and `repro cell`) reproduces the live run's measured samples, mean
+//!   wait, half-width, utilization and measured time bit for bit.
 //! * **Rollup determinism** — per-cell metric rollups merged after a
 //!   parallel sweep are identical at any worker count.
 
@@ -19,7 +20,7 @@ use busarb_experiments::observe::{cross_check, run_pinned};
 use busarb_experiments::{enable_rollups, merge_rollups, run_cells_with, take_rollups, Scale};
 use busarb_obs::TraceFormat;
 use busarb_sim::{Simulation, SystemConfig};
-use busarb_workload::Scenario;
+use busarb_workload::{CoherenceConfig, Scenario};
 use proptest::prelude::*;
 
 /// Grants not yet matched by a completion when the run loop exits: one
@@ -27,65 +28,81 @@ use proptest::prelude::*;
 /// bus.
 const MAX_GRANTS_IN_FLIGHT: u64 = 3;
 
+/// Runs `kind` on `scenario` with a binary export, replays the export,
+/// and checks the conservation identities and the round trip.
+fn check_conservation(scenario: Scenario, kind: ProtocolKind, tag: &str) {
+    let agents = scenario.agents();
+    let path = std::env::temp_dir().join(format!(
+        "busarb-conservation-{}-{tag}.btrc",
+        std::process::id()
+    ));
+    let config = SystemConfig::new(scenario)
+        .with_batches(Scale::Smoke.batches())
+        .with_warmup(Scale::Smoke.warmup())
+        .with_seed(seed_for(tag))
+        .with_trace_export(&path, TraceFormat::Binary);
+    let report = Simulation::new(config).unwrap().run_kind(kind).unwrap();
+    let analysis = busarb_tail::analyze_path(&path);
+    std::fs::remove_file(&path).ok();
+    let analysis = analysis.expect("export must be readable");
+    let replayed = &analysis.replay;
+    let m = &report.metrics;
+
+    // The registry counts in the event loop; the replay counts the
+    // trace records the loop wrote. They must agree exactly.
+    assert_eq!(m.requests, replayed.requests, "{tag}");
+    assert_eq!(m.grants, replayed.grants, "{tag}");
+    assert_eq!(m.completions, replayed.completions, "{tag}");
+    let check = cross_check(&report, &analysis.protocol, replayed);
+    assert!(check.is_ok(), "{tag} round-trip mismatch: {check:?}");
+
+    let per_agent: u64 = m.completions_per_agent.iter().sum();
+    assert_eq!(
+        per_agent, m.completions,
+        "{tag}: per-agent tallies must partition the total"
+    );
+    assert_eq!(m.completions_per_agent.len(), agents as usize, "{tag}");
+    assert_eq!(
+        m.wait.count, m.completions,
+        "{tag}: every completion records one wait sample"
+    );
+
+    assert!(m.grants >= m.completions, "{tag}");
+    assert!(
+        m.grants - m.completions <= MAX_GRANTS_IN_FLIGHT,
+        "{tag}: {} grants vs {} completions",
+        m.grants,
+        m.completions
+    );
+    // Requests that were granted must have been asserted first.
+    assert!(m.requests >= m.completions, "{tag}");
+    assert!(m.pending_peak >= 1, "{tag}");
+    assert_eq!(m.queue_depth.count, m.requests, "{tag}");
+}
+
 proptest! {
-    // Every case is a full smoke-scale simulation; keep the count small.
+    // Every case is fourteen smoke-scale simulations; keep the count small.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn per_agent_completions_sum_to_the_total_and_bound_grants(
         agents in 2u32..=16,
         per_agent_load in 0.05f64..0.9,
-        kind_index in 0usize..4,
         salt in any::<u16>(),
     ) {
         // A single agent cannot offer a full unit of load; scale the
         // total so the per-agent share stays feasible at every size.
         let load = per_agent_load * f64::from(agents);
-        let kind = [
-            ProtocolKind::RoundRobin,
-            ProtocolKind::Fcfs1,
-            ProtocolKind::Fcfs2,
-            ProtocolKind::CentralRoundRobin,
-        ][kind_index];
-        let scenario = Scenario::equal_load(agents, load, 1.0).unwrap();
-        let tag = format!("observe-prop-{agents}-{load}-{kind}-{salt}");
-        let path = std::env::temp_dir().join(format!(
-            "busarb-conservation-{}-{salt}-{agents}-{kind}.btrc",
-            std::process::id()
-        ));
-        let config = SystemConfig::new(scenario)
-            .with_batches(Scale::Smoke.batches())
-            .with_warmup(Scale::Smoke.warmup())
-            .with_seed(seed_for(&tag))
-            .with_trace_export(&path, TraceFormat::Binary);
-        let report = Simulation::new(config).unwrap().run_kind(kind).unwrap();
-        let analysis = busarb_tail::analyze_path(&path);
-        std::fs::remove_file(&path).ok();
-        let replayed = analysis.expect("export must be readable").replay;
-        let m = &report.metrics;
-
-        // The registry counts in the event loop; the replay counts the
-        // trace records the loop wrote. They must agree exactly.
-        prop_assert_eq!(m.requests, replayed.requests);
-        prop_assert_eq!(m.grants, replayed.grants);
-        prop_assert_eq!(m.completions, replayed.completions);
-
-        let per_agent: u64 = m.completions_per_agent.iter().sum();
-        prop_assert_eq!(per_agent, m.completions, "per-agent tallies must partition the total");
-        prop_assert_eq!(m.completions_per_agent.len(), agents as usize);
-        prop_assert_eq!(m.wait.count, m.completions, "every completion records one wait sample");
-
-        prop_assert!(m.grants >= m.completions);
-        prop_assert!(
-            m.grants - m.completions <= MAX_GRANTS_IN_FLIGHT,
-            "{} grants vs {} completions",
-            m.grants,
-            m.completions
-        );
-        // Requests that were granted must have been asserted first.
-        prop_assert!(m.requests >= m.completions);
-        prop_assert!(m.pending_peak >= 1);
-        prop_assert!(m.queue_depth.count == m.requests);
+        for &kind in ProtocolKind::all() {
+            let scenario = Scenario::equal_load(agents, load, 1.0).unwrap();
+            check_conservation(scenario, kind, &format!("observe-prop-{agents}-{load}-{kind}-{salt}"));
+        }
+        // Closed-loop MESI: coherence records interleave with the bus
+        // events in the trace.
+        let all = ProtocolKind::all();
+        let kind = all[usize::from(salt) % all.len()];
+        let scenario = Scenario::closed_loop(agents, CoherenceConfig::default_mix()).unwrap();
+        check_conservation(scenario, kind, &format!("observe-prop-mesi-{agents}-{kind}-{salt}"));
     }
 }
 

@@ -104,6 +104,12 @@ pub fn busarb_config(variants: Vec<String>, slugs: Vec<String>) -> Config {
         root("crates/obs/src/registry.rs", None, "on_coherence"),
         root("crates/obs/src/registry.rs", None, "on_invalidation"),
         root("crates/obs/src/metrics.rs", None, "record"),
+        // The measurement window: once per completion, live and replayed.
+        root(
+            "crates/stats/src/window.rs",
+            Some("MeasurementWindow"),
+            "record",
+        ),
         // Binary trace encoding: once per record a traced run exports.
         root("crates/obs/src/export.rs", Some("BinarySink"), "record"),
         // Binary trace decoding: once per record read back.

@@ -86,7 +86,7 @@ fn scan_statistics_stay_in_a_sane_band() {
 /// Upper bound on the panic sites reachable from the run entry points
 /// (`Simulation::run` and `Simulation::run_kind`). A ratchet: lower it
 /// when a site goes away, never raise it to admit a new one.
-const PANIC_SURFACE_MAX: usize = 48;
+const PANIC_SURFACE_MAX: usize = 45;
 
 #[test]
 fn runner_panic_surface_cannot_grow() {

@@ -25,12 +25,12 @@
 //!   byte offset (and line, for JSONL). `busarb-tail` builds its
 //!   streaming analyzer — `busarb analyze` — on [`TraceReader`] plus the
 //!   incremental [`ReplayBuilder`].
-//! * **Replay** ([`replay`]) — recomputes run-level aggregates (mean
-//!   wait with its batch-means confidence interval, utilization, grant
-//!   and completion counts) from an exported trace alone, mirroring the
-//!   simulator's own accounting arithmetic exactly. `busarb analyze`
-//!   reports it, and `repro cell` uses it as a cross-check that trace,
-//!   metrics, and the live `RunReport` agree.
+//! * **Replay** ([`ReplayBuilder`]) — recomputes run-level aggregates
+//!   (mean wait with its batch-means confidence interval, utilization,
+//!   grant and completion counts) from an exported trace alone, through
+//!   the simulator's own `busarb_stats::MeasurementWindow`. `busarb
+//!   analyze` reports it, and `repro cell` uses it as a cross-check that
+//!   the trace carries every completion of the live `RunReport`.
 //!
 //! # Export formats
 //!
@@ -58,8 +58,8 @@
 //!
 //! Timestamps and waits round-trip bit-exactly through both formats
 //! (JSONL uses Rust's shortest round-trip float formatting), which is
-//! what lets [`replay`] reproduce the live run's aggregates to the last
-//! bit rather than merely "close".
+//! what lets [`ReplayBuilder`] reproduce the live run's aggregates to
+//! the last bit rather than merely "close".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +74,7 @@ mod stream;
 pub use export::{open_file_sink, BinarySink, JsonlSink};
 pub use metrics::{LogHistogram, WindowedRate, HISTOGRAM_BUCKETS, RATE_WINDOW};
 pub use registry::MetricsRegistry;
-pub use replay::{replay, Replay, ReplayBuilder};
+pub use replay::{Replay, ReplayBuilder};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, RateSnapshot};
 pub use stream::{open_trace, stream_error, StreamError, TraceReader, MAX_LINE_BYTES};
 
@@ -116,7 +116,7 @@ impl core::str::FromStr for TraceFormat {
 }
 
 /// The self-describing header of an exported trace: everything
-/// [`replay`] needs to recompute run-level aggregates without the
+/// [`ReplayBuilder`] needs to recompute run-level aggregates without the
 /// original `SystemConfig`.
 #[derive(Clone, PartialEq, Debug, serde::Serialize)]
 pub struct TraceHeader {

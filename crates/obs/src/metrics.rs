@@ -17,6 +17,10 @@ const SCALE: f64 = 1024.0;
 /// bus-transaction times.
 pub const RATE_WINDOW: f64 = 64.0;
 
+/// `1 / RATE_WINDOW`. The window is a power of two, so multiplying by
+/// its reciprocal is the same exact scaling as dividing by it.
+const INV_RATE_WINDOW: f64 = 1.0 / RATE_WINDOW;
+
 /// A fixed-bucket base-2 log-scale histogram over non-negative samples.
 ///
 /// Samples are quantized to 1024 counts per unit; bucket `i` then
@@ -140,12 +144,6 @@ impl Default for LogHistogram {
 /// non-decreasing, which the event loop guarantees.
 #[derive(Clone, Debug)]
 pub struct WindowedRate {
-    window: f64,
-    /// `1.0 / window` when that scaling is exact — i.e. `window` is a
-    /// power of two, like the default [`RATE_WINDOW`] — so `record` can
-    /// multiply instead of divide. `0.0` marks an inexact reciprocal, in
-    /// which case `record` keeps the division.
-    inv_window: f64,
     current_index: u64,
     current_count: u64,
     closed_windows: u64,
@@ -154,28 +152,10 @@ pub struct WindowedRate {
 }
 
 impl WindowedRate {
-    /// Creates a tracker with the default [`RATE_WINDOW`] window.
+    /// Creates a tracker over [`RATE_WINDOW`] windows.
     #[must_use]
     pub fn new() -> Self {
-        WindowedRate::with_window(RATE_WINDOW)
-    }
-
-    /// Creates a tracker with a custom window length (must be positive).
-    #[must_use]
-    pub fn with_window(window: f64) -> Self {
-        assert!(window > 0.0, "rate window must be positive");
-        // Division by a power of two and multiplication by its reciprocal
-        // are the same exact scaling, so the fast path cannot change any
-        // window index.
-        let is_pow2 = window.to_bits() & ((1u64 << 52) - 1) == 0;
-        let inv_window = window.recip();
         WindowedRate {
-            window,
-            inv_window: if is_pow2 && inv_window.is_normal() {
-                inv_window
-            } else {
-                0.0
-            },
             current_index: 0,
             current_count: 0,
             closed_windows: 0,
@@ -187,11 +167,7 @@ impl WindowedRate {
     /// Records one occurrence at simulated time `t`.
     #[inline]
     pub fn record(&mut self, t: f64) {
-        let index = if self.inv_window > 0.0 {
-            (t * self.inv_window) as u64
-        } else {
-            (t / self.window) as u64
-        };
+        let index = (t * INV_RATE_WINDOW) as u64;
         if index > self.current_index {
             self.closed_windows += index - self.current_index;
             self.closed_count += self.current_count;
@@ -204,10 +180,10 @@ impl WindowedRate {
         self.current_count += 1;
     }
 
-    /// The window length in simulated time units.
+    /// The window length in simulated time units: [`RATE_WINDOW`].
     #[must_use]
     pub fn window(&self) -> f64 {
-        self.window
+        RATE_WINDOW
     }
 
     /// Completed (closed) windows so far, including empty ones skipped
@@ -237,7 +213,7 @@ impl WindowedRate {
         if self.closed_windows == 0 {
             0.0
         } else {
-            self.closed_count as f64 / (self.closed_windows as f64 * self.window)
+            self.closed_count as f64 / (self.closed_windows as f64 * RATE_WINDOW)
         }
     }
 }
@@ -292,27 +268,23 @@ mod tests {
 
     #[test]
     fn windowed_rate_closes_windows_as_time_advances() {
-        let mut r = WindowedRate::with_window(10.0);
-        for t in [1.0, 2.0, 3.0] {
-            r.record(t);
+        let w = RATE_WINDOW;
+        let mut r = WindowedRate::new();
+        for t in [0.1, 0.2, 0.3] {
+            r.record(t * w);
         }
         assert_eq!(r.closed_windows(), 0);
         assert_eq!(r.peak(), 3);
         assert_eq!(r.mean_rate(), 0.0);
-        r.record(15.0); // closes window 0
+        r.record(1.5 * w); // closes window 0
         assert_eq!(r.closed_windows(), 1);
         assert_eq!(r.closed_count(), 3);
-        assert_eq!(r.mean_rate(), 0.3);
-        r.record(45.0); // closes windows 1 (1 event), 2 and 3 (empty)
+        assert_eq!(r.mean_rate(), 3.0 / w);
+        r.record(4.5 * w); // closes windows 1 (1 event), 2 and 3 (empty)
         assert_eq!(r.closed_windows(), 4);
         assert_eq!(r.closed_count(), 4);
         assert_eq!(r.peak(), 3);
-        assert_eq!(r.mean_rate(), 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate window must be positive")]
-    fn zero_window_is_rejected() {
-        let _ = WindowedRate::with_window(0.0);
+        assert_eq!(r.mean_rate(), 1.0 / w);
+        assert_eq!(r.window(), w);
     }
 }

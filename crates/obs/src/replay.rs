@@ -1,15 +1,14 @@
 //! Trace replay: recomputing run-level aggregates from an exported
 //! trace alone.
 //!
-//! The replay mirrors the simulator's accounting arithmetic exactly —
-//! the same warm-up discard, the same [`BatchMeans`] machinery fed the
-//! same waiting times in the same order, the same
-//! `samples / measured_time` utilization division — so on a losslessly
-//! exported trace the recomputed mean wait and utilization match the
-//! live `RunReport` bit-for-bit, not merely approximately. `repro
-//! cell` leans on this to cross-check exports against the engine.
+//! The replay folds the trace's completions through the simulator's
+//! own [`MeasurementWindow`] — the same warm-up discard, batch budget
+//! and utilization division, fed the same waiting times in the same
+//! order — so on a losslessly exported trace the recomputed mean wait
+//! and utilization match the live `RunReport` bit-for-bit. `repro cell`
+//! leans on this to check that an export carries every completion.
 
-use busarb_stats::{BatchMeans, BatchMeansConfig, Estimate, Summary};
+use busarb_stats::{BatchMeansConfig, Estimate, MeasurementWindow, Summary};
 use busarb_types::{TraceEvent, TraceKind};
 
 use crate::TraceHeader;
@@ -53,7 +52,7 @@ impl Replay {
     }
 }
 
-/// Incremental replay: the streaming form of [`replay`].
+/// Incremental trace replay.
 ///
 /// Feed events one at a time with [`push`]; [`finish`] freezes the
 /// aggregates into a [`Replay`]. All state is fixed-size (the batch-means
@@ -69,11 +68,7 @@ impl Replay {
 pub struct ReplayBuilder {
     protocol: String,
     agents: u32,
-    warmup_samples: u64,
-    bm: BatchMeans,
-    warmup_remaining: u64,
-    warmup_end: f64,
-    last_counted: f64,
+    window: MeasurementWindow,
     requests: u64,
     grants: u64,
     transfers: u64,
@@ -98,15 +93,12 @@ impl ReplayBuilder {
                 .map_err(|_| invalid("samples per batch exceeds usize".to_string()))?,
             confidence: header.confidence,
         };
-        let bm = BatchMeans::new(config).map_err(|e| invalid(format!("bad batch config: {e}")))?;
+        let window = MeasurementWindow::new(header.warmup_samples, config)
+            .map_err(|e| invalid(format!("bad batch config: {e}")))?;
         Ok(ReplayBuilder {
             protocol: header.protocol.clone(),
             agents: header.agents,
-            warmup_samples: header.warmup_samples,
-            bm,
-            warmup_remaining: header.warmup_samples,
-            warmup_end: 0.0,
-            last_counted: 0.0,
+            window,
             requests: 0,
             grants: 0,
             transfers: 0,
@@ -138,15 +130,8 @@ impl ReplayBuilder {
                         "trace event names an agent outside the header's roster",
                     ));
                 }
-                if self.warmup_remaining > 0 {
-                    self.warmup_remaining -= 1;
-                    if self.warmup_remaining == 0 {
-                        self.warmup_end = event.at.as_f64();
-                    }
-                } else if !self.bm.is_complete() {
-                    self.bm.record(wait);
+                if self.window.record(event.at, wait) {
                     self.per_agent_samples[agent.index()] += 1;
-                    self.last_counted = event.at.as_f64();
                 }
             }
         }
@@ -156,46 +141,22 @@ impl ReplayBuilder {
     /// Freezes the accumulated state into run-level aggregates.
     #[must_use]
     pub fn finish(self) -> Replay {
-        let measured_time = self.last_counted - self.warmup_end;
-        let utilization = if measured_time > 0.0 {
-            self.bm.samples_recorded() as f64 / measured_time
-        } else {
-            0.0
-        };
+        let batches = self.window.batches();
         Replay {
             protocol: self.protocol,
-            mean_wait: self.bm.estimate(),
-            wait_summary: *self.bm.overall(),
-            utilization,
-            measured_time,
+            mean_wait: batches.estimate(),
+            wait_summary: *batches.overall(),
+            utilization: self.window.utilization(),
+            measured_time: self.window.measured_time().as_f64(),
             requests: self.requests,
             grants: self.grants,
             transfers: self.transfers,
             completions: self.completions,
             coherence_events: self.coherence_events,
-            warmup_consumed: self.warmup_samples - self.warmup_remaining,
+            warmup_consumed: self.window.warmup_consumed(),
             per_agent_samples: self.per_agent_samples,
         }
     }
-}
-
-/// Replays an exported trace, recomputing `RunReport`-level aggregates.
-///
-/// This is the whole-slice convenience over [`ReplayBuilder`]; both
-/// paths share the accumulation code, so streaming and whole-file replay
-/// agree exactly by construction.
-///
-/// # Errors
-///
-/// Returns [`std::io::ErrorKind::InvalidData`] when the header's
-/// batch-means configuration is invalid or an event names an agent
-/// outside the header's roster.
-pub fn replay(header: &TraceHeader, events: &[TraceEvent]) -> std::io::Result<Replay> {
-    let mut builder = ReplayBuilder::new(header)?;
-    for event in events {
-        builder.push(event)?;
-    }
-    Ok(builder.finish())
 }
 
 #[cfg(test)]
@@ -235,11 +196,19 @@ mod tests {
             .collect()
     }
 
+    fn replay(h: &TraceHeader, events: &[TraceEvent]) -> Replay {
+        let mut builder = ReplayBuilder::new(h).unwrap();
+        for event in events {
+            builder.push(event).unwrap();
+        }
+        builder.finish()
+    }
+
     #[test]
     fn replay_applies_warmup_and_batch_budget() {
         let h = header(2, 4, 2, 3);
         let events = completions(20);
-        let r = replay(&h, &events).unwrap();
+        let r = replay(&h, &events);
         assert_eq!(r.completions, 20);
         assert_eq!(r.warmup_consumed, 4);
         // 2 batches x 3 samples measured; the rest ignored.
@@ -255,7 +224,7 @@ mod tests {
     #[test]
     fn incomplete_batches_give_no_estimate() {
         let h = header(2, 0, 10, 100);
-        let r = replay(&h, &completions(50)).unwrap();
+        let r = replay(&h, &completions(50));
         assert!(r.mean_wait.is_none());
         assert_eq!(r.samples(), 50);
     }
@@ -263,19 +232,19 @@ mod tests {
     #[test]
     fn out_of_roster_agent_is_rejected() {
         let h = header(1, 0, 2, 2);
-        let events = vec![TraceEvent {
+        let event = TraceEvent {
             at: Time::from(1.0),
             kind: TraceKind::TransferEnd {
                 agent: id(2),
                 wait: 1.0,
             },
-        }];
-        assert!(replay(&h, &events).is_err());
+        };
+        assert!(ReplayBuilder::new(&h).unwrap().push(&event).is_err());
     }
 
     #[test]
     fn bad_batch_config_is_rejected() {
         let h = header(1, 0, 1, 2); // fewer than 2 batches
-        assert!(replay(&h, &[]).is_err());
+        assert!(ReplayBuilder::new(&h).is_err());
     }
 }

@@ -11,7 +11,7 @@ use busarb_workload::{DrawEngineKind, Scenario};
 ///
 /// Unlike the bounded in-memory trace (`trace_limit`), an export writes
 /// **every** event of the run to disk as it happens, in a
-/// self-describing format that `busarb_obs::replay` (and `busarb
+/// self-describing format that `busarb_obs::ReplayBuilder` (and `busarb
 /// analyze`) can reconstruct run aggregates from.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TraceExportConfig {

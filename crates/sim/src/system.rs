@@ -3,7 +3,7 @@
 use busarb_core::{Arbiter, ArbiterVisitor, Grant, ProtocolKind};
 use busarb_mem::CoherenceSystem;
 use busarb_obs::{open_file_sink, MetricsRegistry, TraceHeader, TraceSink, TRACE_SCHEMA};
-use busarb_stats::{BatchMeans, BatchTally, Cdf, Summary};
+use busarb_stats::{BatchTally, Cdf, MeasurementWindow, Summary};
 use busarb_types::{AgentId, AgentSet, Error, Priority, Time, TraceEvent};
 use busarb_workload::{DrawEngine, DrawEngineKind, FastEngine, ReferenceEngine};
 
@@ -250,16 +250,13 @@ struct Runner<'c, A: Arbiter, E: DrawEngine, const W: usize> {
     /// Winner of a completed arbitration, waiting for the bus.
     next_master: Option<Grant>,
 
-    bm: BatchMeans,
+    window: MeasurementWindow,
     tally: BatchTally,
     cdf: Option<Cdf>,
-    warmup_remaining: usize,
-    warmup_end: Time,
     /// Samples left before the per-agent tally closes its current batch —
     /// a countdown so the batch boundary costs one decrement per sample
     /// instead of a 64-bit remainder.
     batch_countdown: usize,
-    last_counted: Time,
     trace: Trace,
     /// `true` when any trace consumer is attached (in-memory trace or
     /// file export) — one cached flag so the hot path pays a
@@ -274,7 +271,7 @@ struct Runner<'c, A: Arbiter, E: DrawEngine, const W: usize> {
     per_agent_wait: Vec<Summary>,
     /// Waits of ordinary-priority requests. Fed only under urgent
     /// traffic: without it every sample is ordinary, and `finish` copies
-    /// `bm.overall()`, which received the same sequence.
+    /// the window's overall summary, which received the same sequence.
     ordinary_wait: Summary,
     urgent_wait: Summary,
 }
@@ -288,7 +285,8 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
             "arbiter sized for {} agents but the scenario has {n}",
             arbiter.agents()
         );
-        let bm = BatchMeans::new(config.batches).expect("validated batch config");
+        let window = MeasurementWindow::new(config.warmup_samples as u64, config.batches)
+            .expect("validated batch config");
         let tally =
             BatchTally::new(n as usize, config.batches.batches).expect("validated batch config");
         let export = config.trace_export.as_ref().map(|ex| {
@@ -320,13 +318,10 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
             transferring: None,
             arb_in_flight: None,
             next_master: None,
-            bm,
+            window,
             tally,
             cdf: config.collect_cdf.then(Cdf::new),
-            warmup_remaining: config.warmup_samples,
-            warmup_end: Time::ZERO,
             batch_countdown: config.batches.samples_per_batch,
-            last_counted: Time::ZERO,
             trace: if config.trace_limit > 0 {
                 Trace::with_limit(config.trace_limit)
             } else {
@@ -392,7 +387,7 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
                 Event::ArbitrationComplete => self.on_arbitration_complete(t),
                 Event::TransactionEnd => self.on_transaction_end(t),
             }
-            if self.bm.is_complete() {
+            if self.window.batches().is_complete() {
                 break;
             }
             assert!(
@@ -572,17 +567,9 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
     }
 
     fn record(&mut self, t: Time, agent: AgentId, priority: Priority, wait: f64) {
-        if self.warmup_remaining > 0 {
-            self.warmup_remaining -= 1;
-            if self.warmup_remaining == 0 {
-                self.warmup_end = t;
-            }
+        if !self.window.record(t, wait) {
             return;
         }
-        if self.bm.is_complete() {
-            return;
-        }
-        self.bm.record(wait);
         self.tally.record(agent.index());
         self.per_agent_wait[agent.index()].record(wait);
         match priority {
@@ -595,7 +582,6 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
         if let Some(cdf) = &mut self.cdf {
             cdf.record(wait);
         }
-        self.last_counted = t;
         self.batch_countdown -= 1;
         if self.batch_countdown == 0 {
             self.tally.close_batch();
@@ -609,37 +595,31 @@ impl<'c, A: Arbiter, E: DrawEngine, const W: usize> Runner<'c, A, E, W> {
                 panic!("trace export failed: {e}");
             }
         }
-        let mean_wait = self
-            .bm
+        let batches = self.window.batches();
+        let mean_wait = batches
             .estimate()
             .expect("run loop exits only when batches are complete");
-        let measured_time = self.last_counted - self.warmup_end;
-        let utilization = if measured_time > Time::ZERO {
-            self.bm.samples_recorded() as f64 / measured_time.as_f64()
-        } else {
-            0.0
-        };
         let metrics = self.metrics.snapshot();
         RunReport {
             protocol: self.arbiter.name().to_string(),
             mean_wait,
-            wait_summary: *self.bm.overall(),
-            wait_batch_means: self.bm.batch_means(),
+            wait_summary: *batches.overall(),
+            wait_batch_means: batches.batch_means(),
             per_agent_wait: self.per_agent_wait,
             ordinary_wait: if self.config.urgent_fraction > 0.0 {
                 self.ordinary_wait
             } else {
-                *self.bm.overall()
+                *batches.overall()
             },
             urgent_wait: self.urgent_wait,
             tally: self.tally,
-            utilization,
+            utilization: self.window.utilization(),
             cdf: self.cdf,
             events: metrics.events,
             grants: metrics.grants,
             arbitrations: metrics.arbitrations,
-            end_time: self.last_counted,
-            measured_time,
+            end_time: self.window.end(),
+            measured_time: self.window.measured_time(),
             trace: self.trace,
             metrics,
         }

@@ -146,8 +146,8 @@ impl core::fmt::Display for Estimate {
 /// with a Student-t confidence interval. Samples beyond the configured total
 /// are ignored (the run has collected enough output).
 ///
-/// Warm-up handling is the caller's responsibility: the simulator discards
-/// an initial transient before routing samples here.
+/// Warm-up handling is the caller's responsibility: [`crate::MeasurementWindow`]
+/// discards an initial transient before routing samples here.
 #[derive(Clone, Debug)]
 pub struct BatchMeans {
     config: BatchMeansConfig,

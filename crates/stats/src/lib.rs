@@ -10,6 +10,9 @@
 //!   extrema.
 //! * [`BatchMeans`] — fixed-size batching of a sample stream with Student-t
 //!   confidence intervals over the batch means.
+//! * [`MeasurementWindow`] — the warm-up discard, the batch budget and
+//!   the measured interval that utilization is taken over: the one
+//!   measurement rule the simulator and the trace replay share.
 //! * [`BatchTally`] — per-batch tallies of per-agent counts, used to put
 //!   confidence intervals on **ratios** (e.g. throughput of agent N over
 //!   throughput of agent 1 in Table 4.1).
@@ -46,9 +49,11 @@ pub mod independence;
 mod ratio;
 pub mod student_t;
 mod summary;
+mod window;
 
 pub use batch_means::{BatchMeans, BatchMeansConfig, Estimate};
 pub use cdf::Cdf;
 pub use independence::{batch_independence, IndependenceCheck};
 pub use ratio::{BatchTally, RatioEstimate};
 pub use summary::Summary;
+pub use window::MeasurementWindow;

@@ -17,8 +17,9 @@
 //! A [`Pipeline`] fans each decoded event out to four analyzers:
 //!
 //! * **replay** (`busarb_obs::ReplayBuilder`) — the simulator's own
-//!   accounting arithmetic, reproducing the live run's mean wait,
-//!   confidence interval, and utilization bit-for-bit;
+//!   measurement window (`busarb_stats::MeasurementWindow`),
+//!   reproducing the live run's mean wait, confidence interval, and
+//!   utilization bit-for-bit;
 //! * **usage** ([`BusUsage`]) — profiler-style time classification into
 //!   busy / backpressure / free / idle, plus delay and burst-length
 //!   histograms on the shared log-bucket resolution;
@@ -38,7 +39,6 @@
 
 mod adapters;
 mod fairness;
-pub mod synth;
 mod usage;
 
 pub use adapters::{
@@ -530,7 +530,11 @@ mod tests {
     fn pipeline_matches_whole_file_replay() {
         let h = header("rr", 2);
         let events = synthetic(10);
-        let whole = busarb_obs::replay(&h, &events).unwrap();
+        let mut builder = ReplayBuilder::new(&h).unwrap();
+        for e in &events {
+            builder.push(e).unwrap();
+        }
+        let whole = builder.finish();
         let mut p = Pipeline::new(&h).unwrap();
         for e in &events {
             p.push(e).unwrap();

@@ -7,10 +7,10 @@
 //! from a fixed-size read buffer. Rather
 //! than spot-checking RSS (noisy, allocator-dependent), this test swaps
 //! in a global allocator that tracks live bytes and their high-water
-//! mark, synthesizes BTRC streams of two very different lengths on the
-//! fly (no file, no materialized event list — the generator itself is
-//! O(1)), and asserts the peak for the long stream does not exceed the
-//! short stream's peak plus slack, and that both make the same number
+//! mark, encodes BTRC streams of two very different lengths into memory
+//! with the trace exporter's `BinarySink` before measuring, and asserts
+//! the peak while analyzing the long stream does not exceed the short
+//! stream's peak plus slack, and that both make the same number
 //! of allocations (the decode thread and its batch ring cost a fixed
 //! count). It also pins the hot loop: after the pipeline is warm,
 //! pushing events performs zero steady-state allocations.
@@ -21,8 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use busarb_obs::{TraceHeader, TraceReader, TRACE_SCHEMA};
-use busarb_tail::synth::SyntheticBtrc;
+use busarb_obs::{BinarySink, TraceHeader, TraceReader, TraceSink, TRACE_SCHEMA};
 use busarb_tail::{analyze, Pipeline};
 use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
 
@@ -75,16 +74,54 @@ fn header(agents: u32) -> TraceHeader {
     }
 }
 
-/// Peak live heap while analyzing a synthetic stream of `n`
-/// transactions, and the allocations `analyze` itself made.
-fn peak_during_analysis(n: u64) -> (usize, usize, u64) {
-    let h = header(8);
-    let stream = SyntheticBtrc::new(&h, n);
+/// One bus transaction of `agent` starting at `t`: request,
+/// arbitration, transfer start and completion.
+fn transaction(t: f64, agent: AgentId) -> [TraceEvent; 4] {
+    [
+        TraceEvent {
+            at: Time::from(t),
+            kind: TraceKind::Request { agent },
+        },
+        TraceEvent {
+            at: Time::from(t),
+            kind: TraceKind::ArbitrationStart {
+                winner: agent,
+                completes: Time::from(t + 0.25),
+            },
+        },
+        TraceEvent {
+            at: Time::from(t + 0.25),
+            kind: TraceKind::TransferStart { agent },
+        },
+        TraceEvent {
+            at: Time::from(t + 1.0),
+            kind: TraceKind::TransferEnd { agent, wait: 0.75 },
+        },
+    ]
+}
+
+/// A BTRC stream of `n` transactions, one a time unit, round-robin
+/// over the header's roster.
+fn btrc(h: &TraceHeader, n: u32) -> Vec<u8> {
+    let mut sink = BinarySink::new(Vec::new(), h).expect("in-memory sink");
+    for i in 0..n {
+        let agent = AgentId::new(1 + i % h.agents).expect("agent in roster");
+        for event in transaction(f64::from(i), agent) {
+            sink.record(&event).expect("in-memory sink");
+        }
+    }
+    sink.into_inner().expect("in-memory sink")
+}
+
+/// Peak live heap while analyzing a stream of `n` transactions, and
+/// the allocations `analyze` itself made.
+fn peak_during_analysis(n: u32) -> (usize, usize, u64) {
+    let bytes = btrc(&header(8), n);
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     let base = LIVE.load(Ordering::Relaxed);
-    let mut reader = TraceReader::new(stream).expect("synthetic stream is valid");
+    let mut reader = TraceReader::new(&bytes[..]).expect("encoded stream is valid");
     let allocs = ALLOCS.load(Ordering::Relaxed);
-    let report = analyze("synthetic", &mut reader).expect("synthetic stream analyzes");
+    let report = analyze("encoded", &mut reader).expect("encoded stream analyzes");
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
     let peak = PEAK.load(Ordering::Relaxed) - base;
     (peak, allocs, report.events)
@@ -119,34 +156,9 @@ fn peak_memory_is_independent_of_trace_length_and_hot_path_is_steady() {
     let agent = AgentId::new(1).unwrap();
     let push_all = |base: f64, pipeline: &mut Pipeline| {
         for i in 0..1_000u32 {
-            let t = base + f64::from(i);
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t),
-                    kind: TraceKind::Request { agent },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t),
-                    kind: TraceKind::ArbitrationStart {
-                        winner: agent,
-                        completes: Time::from(t + 0.25),
-                    },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t + 0.25),
-                    kind: TraceKind::TransferStart { agent },
-                })
-                .unwrap();
-            pipeline
-                .push(&TraceEvent {
-                    at: Time::from(t + 1.0),
-                    kind: TraceKind::TransferEnd { agent, wait: 0.5 },
-                })
-                .unwrap();
+            for event in transaction(base + f64::from(i), agent) {
+                pipeline.push(&event).unwrap();
+            }
         }
     };
     // Warm-up pass absorbs any lazy one-time allocation.

@@ -1,20 +1,22 @@
 //! Streaming-vs-whole-file equivalence and corrupt-input regressions.
 //!
 //! The contract `busarb analyze` sells is: one bounded-memory pass over
-//! a trace produces *exactly* the aggregates a whole-file replay would —
+//! a trace produces *exactly* the aggregates an in-memory replay would —
 //! on either framing — and malformed input fails with a structured
 //! error naming the byte offset, never a panic or a silent truncation of
 //! the result. Both halves are pinned here:
 //!
 //! * a property test drives randomized event sequences through the
-//!   JSONL sink, the binary sink, the streaming pipeline, and the
-//!   whole-file replay, and requires bit-exact agreement everywhere;
+//!   JSONL sink, the binary sink, the streaming pipeline, and a
+//!   `ReplayBuilder` fold over the event list, and requires bit-exact
+//!   agreement everywhere;
 //! * a regression suite feeds truncated and corrupt streams (cut binary
 //!   records, garbage JSONL lines, bad agent identities) to
 //!   `analyze`/`analyze_path` and checks the structured error surface.
 
 use busarb_obs::{
-    replay, stream_error, BinarySink, JsonlSink, TraceHeader, TraceReader, TraceSink, TRACE_SCHEMA,
+    stream_error, BinarySink, JsonlSink, ReplayBuilder, TraceHeader, TraceReader, TraceSink,
+    TRACE_SCHEMA,
 };
 use busarb_tail::{analyze, analyze_path};
 use busarb_types::{AgentId, Time, TraceEvent, TraceKind};
@@ -82,8 +84,8 @@ fn encode_binary(h: &TraceHeader, events: &[TraceEvent]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Streaming analysis over either framing must equal the whole-file
-    /// replay bit-for-bit, and the two framings must agree on the
+    /// Streaming analysis over either framing must equal a replay of
+    /// the in-memory event list bit-for-bit, and the two framings must agree on the
     /// entire report (all analyzers, not just replay).
     #[test]
     fn streaming_matches_whole_file_replay_on_both_framings(
@@ -96,7 +98,11 @@ proptest! {
         let h = header(protocol, agents, warmup);
         let events = build_events(&choices, agents);
 
-        let whole = replay(&h, &events).unwrap();
+        let mut builder = ReplayBuilder::new(&h).unwrap();
+        for e in &events {
+            builder.push(e).unwrap();
+        }
+        let whole = builder.finish();
 
         let jsonl = encode_jsonl(&h, &events);
         let binary = encode_binary(&h, &events);
@@ -109,7 +115,7 @@ proptest! {
         for r in &reports {
             prop_assert_eq!(r.events, events.len() as u64);
             // Bit-exact, not approximate: the pipeline runs the same
-            // accumulation code as the whole-file replay.
+            // accumulation code as the in-memory replay.
             prop_assert_eq!(r.replay.samples, whole.samples());
             prop_assert_eq!(r.replay.utilization, whole.utilization);
             prop_assert_eq!(r.replay.measured_time, whole.measured_time);
